@@ -213,11 +213,6 @@ def train_linear(samples) -> LinearModel:
     return LinearModel(w=w)
 
 
-def predict(model, cmd, v):
-    """Model-agnostic forward evaluation in raw units."""
-    return model.predict(cmd, v)
-
-
 def split_by_sign(arr: np.ndarray):
     """Throttle (> deadband) and brake (< -deadband) sample subsets."""
     throttle = arr[arr[:, 0] > DEADBAND_CMD]
@@ -249,11 +244,11 @@ def _predict_signed(throttle_model, brake_model, arr: np.ndarray) -> np.ndarray:
     if pos.any():
         if throttle_model is None:
             raise TooFewSamples("held-out throttle samples but no throttle training data")
-        out[pos] = predict(throttle_model, arr[pos, 0], arr[pos, 1])
+        out[pos] = throttle_model.predict(arr[pos, 0], arr[pos, 1])
     if (~pos).any():
         if brake_model is None:
             raise TooFewSamples("held-out brake samples but no brake training data")
-        out[~pos] = predict(brake_model, arr[~pos, 0], arr[~pos, 1])
+        out[~pos] = brake_model.predict(arr[~pos, 0], arr[~pos, 1])
     return out
 
 
@@ -272,10 +267,6 @@ class CvReport:
     @property
     def rmse(self) -> float:
         return float(self.fold_rmse.mean())
-
-    def csv_rows(self):
-        for k, (mae, rmse) in enumerate(zip(self.fold_mae, self.fold_rmse)):
-            yield [self.kind, str(k), "%.9g" % mae, "%.9g" % rmse]
 
 
 def _fold_metrics(args):
@@ -335,14 +326,14 @@ def build_table(throttle_model, brake_model, speed_grid, cmd_grid) -> Calibratio
     acc = np.empty((len(cmd_grid), len(speed_grid)))
     for i, cmd in enumerate(cmd_grid):
         if cmd > 0:
-            acc[i] = predict(throttle_model, np.full_like(speed_grid, cmd), speed_grid)
+            acc[i] = throttle_model.predict(np.full_like(speed_grid, cmd), speed_grid)
         elif cmd < 0:
-            acc[i] = predict(brake_model, np.full_like(speed_grid, cmd), speed_grid)
+            acc[i] = brake_model.predict(np.full_like(speed_grid, cmd), speed_grid)
         else:
             zero = np.zeros_like(speed_grid)
             acc[i] = 0.5 * (
-                predict(throttle_model, zero, speed_grid)
-                + predict(brake_model, zero, speed_grid)
+                throttle_model.predict(zero, speed_grid)
+                + brake_model.predict(zero, speed_grid)
             )
     return project_monotone(CalibrationTable(speed_grid, cmd_grid, acc))
 

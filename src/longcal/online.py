@@ -7,9 +7,12 @@ the cell's distance from the feedback point and with how far the pristine
 initial table already sits from the measurement.  Cells inside a small
 window around the feedback point update at full strength.
 
-The updated matrix is re-projected to monotone, exported as a fresh
-inverse view, and published by atomic whole-table replacement: a reader
-always sees either the old or the new table, never a mixture.
+Feedback arrives already gated by ``OnlinePreprocessor.push``, which runs
+the one command-consistency gate.  The columns a step leaves decreasing
+are repaired by the one isotonic repair in ``table``; the result is
+exported as a fresh inverse view and published by atomic whole-table
+replacement: a reader always sees either the old or the new table, never a
+mixture.
 """
 
 from __future__ import annotations
@@ -20,12 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .preprocess import OnlineFeedback
-from .table import (
-    CalibrationTable,
-    InverseTableView,
-    _pav_nondecreasing,
-    invert,
-)
+from .table import CalibrationTable, InverseTableView, _monotone_columns, invert
 
 __all__ = [
     "OnlineConfig",
@@ -182,18 +180,16 @@ def update_table(state: OnlineState, feedback: OnlineFeedback, cfg: OnlineConfig
     Every cell moves toward the measured acceleration by
     ``sigma * gain / (1 + cost)``, so no cell ever moves further than
     ``sigma`` times the observed error, and zero-cost cells move exactly
-    that far.  The result is re-projected to monotone columns; the old
-    table is left untouched.
+    that far.  Only the columns the step left decreasing are re-projected,
+    by the same isotonic repair as ``project_monotone``; the old table is
+    left untouched.
     """
     gain = compute_gain(feedback.acc_ref, feedback.acc_k)
     old = state.table
     if gain == 0.0:
         return old
     step = (cfg.sigma * gain) / (1.0 + _cost_matrix(state.init_table, feedback, cfg))
-    acc = old.acc - step
-    if np.any(np.diff(acc, axis=0) < 0.0):
-        for j in range(acc.shape[1]):
-            acc[:, j] = _pav_nondecreasing(acc[:, j].tolist())
+    acc = _monotone_columns(old.acc - step)
     return CalibrationTable._trusted(old.speed_grid, old.cmd_grid, acc)
 
 

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
-from scipy.signal import butter, group_delay, lfilter, lfilter_zi
+from scipy.signal import butter, group_delay, lfilter_zi
 
 MODE_MANUAL = "MANUAL"
 MODE_AUTO = "AUTO"
@@ -39,16 +42,8 @@ class InsufficientHistory(ValueError):
     """Command history does not cover the consistency window."""
 
 
-@dataclass(frozen=True)
-class DriveSample:
-    """One log frame: time, signed command %, speed, IMU acceleration, steering, mode."""
-
-    t: float
-    cmd: float
-    v: float
-    acc: float
-    theta: float
-    mode: str = MODE_MANUAL
+class NonFiniteFrame(ValueError):
+    """An online frame carries a NaN or infinite number."""
 
 
 class DriveLog:
@@ -76,17 +71,6 @@ class DriveLog:
 
     def __len__(self):
         return len(self.t)
-
-    def samples(self):
-        for i in range(len(self)):
-            yield DriveSample(
-                t=float(self.t[i]),
-                cmd=float(self.cmd[i]),
-                v=float(self.v[i]),
-                acc=float(self.acc[i]),
-                theta=float(self.theta[i]),
-                mode=str(self.mode[i]),
-            )
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -396,9 +380,6 @@ class ButterworthFilter:
         self._al = [float(c) for c in self._a]
         self._state = None
 
-    def reset(self):
-        self._state = None
-
     def __call__(self, x: float) -> float:
         # direct form II transposed, plain floats: called once per control
         # cycle, so this avoids the per-call cost of an lfilter round trip
@@ -412,20 +393,11 @@ class ButterworthFilter:
         z[n - 1] = b[n] * x - a[n] * y
         return y
 
-    def apply(self, series) -> np.ndarray:
-        series = np.asarray(series, dtype=float)
-        if len(series) == 0:
-            return series.copy()
-        if self._state is None:
-            self._state = [float(z) for z in self._zi_unit * series[0]]
-        out, state = lfilter(self._b, self._a, series, zi=np.asarray(self._state))
-        self._state = [float(z) for z in state]
-        return out
-
 
 def butterworth_lowpass(series, sample_rate: float, cutoff_hz: float = 2.0, order: int = 3):
-    """One-shot causal Butterworth low-pass over a whole series."""
-    return ButterworthFilter(sample_rate, cutoff_hz, order).apply(series)
+    """One-shot causal Butterworth low-pass over a whole series, streamed sample by sample."""
+    lowpass = ButterworthFilter(sample_rate, cutoff_hz, order)
+    return np.array([lowpass(x) for x in np.asarray(series, dtype=float).tolist()])
 
 
 def command_consistency_gate(
@@ -433,21 +405,25 @@ def command_consistency_gate(
 ) -> bool:
     """True when every command within +-window of t_ref stays near the reference.
 
-    The reference command is the history value nearest ``t_ref``.  Raises
-    InsufficientHistory when the history does not span the whole window.
+    ``t_hist`` must be increasing.  The reference command is the history
+    value nearest ``t_ref`` (the earlier one on a tie).  Plain Python over any
+    indexable sequence, so the online preprocessor passes its history deques
+    as they are, once per control cycle.  Raises InsufficientHistory when the
+    history does not span the whole window.
     """
-    t_hist = np.asarray(t_hist, dtype=float)
-    cmd_hist = np.asarray(cmd_hist, dtype=float)
-    if len(t_hist) == 0 or t_hist[0] > t_ref - window + 1e-9 or t_hist[-1] < t_ref + window - 1e-9:
+    n = len(t_hist)
+    if n == 0 or t_hist[0] > t_ref - window + 1e-9 or t_hist[-1] < t_ref + window - 1e-9:
         raise InsufficientHistory(
-            f"history [{t_hist[0] if len(t_hist) else 'empty'}, "
-            f"{t_hist[-1] if len(t_hist) else 'empty'}] does not cover "
-            f"[{t_ref - window:g}, {t_ref + window:g}]"
+            f"history [{t_hist[0] if n else 'empty'}, {t_hist[-1] if n else 'empty'}] "
+            f"does not cover [{t_ref - window:g}, {t_ref + window:g}]"
         )
-    k = int(np.argmin(np.abs(t_hist - t_ref)))
+    k = bisect_left(t_hist, t_ref)
+    if k == n or (k > 0 and t_ref - t_hist[k - 1] <= t_hist[k] - t_ref):
+        k -= 1
     cmd_ref = cmd_hist[k]
-    sel = (t_hist >= t_ref - window - 1e-12) & (t_hist <= t_ref + window + 1e-12)
-    return bool(np.all(np.abs(cmd_hist[sel] - cmd_ref) < delta_cmd_gap))
+    lo = bisect_left(t_hist, t_ref - window - 1e-12)
+    hi = bisect_right(t_hist, t_ref + window + 1e-12)
+    return all(abs(c - cmd_ref) < delta_cmd_gap for c in islice(cmd_hist, lo, hi))
 
 
 def speed_acc_consistency_gate(v_ref: float, v_k: float, a_ref: float, a_k: float) -> bool:
@@ -475,18 +451,17 @@ class OnlineFeedback:
     acc_k: float
     v_k: float
 
-    @property
-    def a_k(self) -> float:
-        return self.acc_k
-
 
 class OnlinePreprocessor:
     """Stateful per-cycle gatekeeper turning raw frames into OnlineFeedback.
 
-    Pipeline order per cycle: mode/steering gate, actuator-delay alignment
-    (a FIFO of issued commands), causal Butterworth filtering of the IMU
-    channel, command-consistency check over the +-window around the issue
-    time, and the speed/acceleration sign-consistency check.
+    Pipeline order per cycle: finiteness check, mode/steering gate,
+    actuator-delay alignment (a FIFO of issued commands), causal Butterworth
+    filtering of the IMU channel (``ButterworthFilter.__call__``, one sample
+    per cycle), ``command_consistency_gate`` over the history deques for the
+    +-window around the issue time (a history that does not yet cover the
+    window admits nothing), and the speed/acceleration sign-consistency
+    check.
     """
 
     def __init__(
@@ -533,8 +508,12 @@ class OnlinePreprocessor:
 
         ``cmd`` is the command issued this cycle, ``acc_expected`` the
         acceleration the table predicts for it, ``v_expected`` the desired
-        speed right now, and ``acc_meas`` the raw IMU reading.
+        speed right now, and ``acc_meas`` the raw IMU reading.  A frame with
+        a non-finite number raises NonFiniteFrame and leaves the filter and
+        the history as they were, so the next finite frame carries on.
         """
+        if not all(map(math.isfinite, (t, cmd, v, acc_meas, acc_expected, v_expected, theta))):
+            raise NonFiniteFrame(f"frame at t={t!r} holds a non-finite value")
         acc_f = self._filter(acc_meas)
         auto = (mode == MODE_AUTO) and (abs(theta) < self.delta_steer)
         self._t_hist.append(t)
@@ -546,7 +525,13 @@ class OnlinePreprocessor:
             t_ref, cmd_ref, v_ref, acc_ref, issued_auto = self._pending.popleft()
             if not (auto and issued_auto):
                 continue
-            if not self._steady_history(t_ref):
+            try:
+                steady = command_consistency_gate(
+                    self._t_hist, self._cmd_hist, t_ref, self.delta_cmd_gap, self.window
+                )
+            except InsufficientHistory:
+                steady = False
+            if not steady:
                 continue
             if not speed_acc_consistency_gate(v_expected, v, acc_ref, acc_f):
                 continue
@@ -554,29 +539,3 @@ class OnlinePreprocessor:
                 cmd_ref=cmd_ref, v_ref=v_ref, acc_ref=acc_ref, acc_k=acc_f, v_k=v
             )
         return feedback
-
-    def _steady_history(self, t_ref: float) -> bool:
-        # inline equivalent of command_consistency_gate over the history
-        # deques (plain floats; this runs every control cycle)
-        th, ch = self._t_hist, self._cmd_hist
-        lo = t_ref - self.window
-        hi = t_ref + self.window
-        if not th or th[0] > lo + 1e-9 or th[-1] < hi - 1e-9:
-            return False  # insufficient history: not usable
-        best = 1e18
-        cmd_ref = 0.0
-        for tt, cc in zip(th, ch):
-            d = tt - t_ref
-            if d < 0.0:
-                d = -d
-            if d < best:
-                best = d
-                cmd_ref = cc
-        for tt, cc in zip(th, ch):
-            if lo - 1e-12 <= tt <= hi + 1e-12:
-                gap = cc - cmd_ref
-                if gap < 0.0:
-                    gap = -gap
-                if gap >= self.delta_cmd_gap:
-                    return False
-        return True

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .online import OnlineCalibrator, OnlineConfig, compute_gain
-from .preprocess import MODE_AUTO, MODE_MANUAL, DriveLog, OnlinePreprocessor
+from .preprocess import MODE_AUTO, MODE_MANUAL, DriveLog, OnlinePreprocessor, nearest_cell_index
 from .table import CalibrationTable, default_cmd_grid, default_speed_grid, invert, lookup_acc, lookup_cmd
 
 
@@ -74,14 +74,6 @@ class PlantConfig:
     @property
     def total_mass(self) -> float:
         return self.mass + self.load
-
-    def force(self, cmd: float) -> float:
-        """Signed longitudinal force for a signed command."""
-        if cmd > 0:
-            return float(np.interp(cmd, self.throttle_breaks, self.throttle_force))
-        if cmd < 0:
-            return -float(np.interp(-cmd, self.brake_breaks, self.brake_force))
-        return 0.0
 
     def steady_state_acc(self, cmd, v):
         """Analytic acceleration holding ``cmd`` at speed ``v``.
@@ -278,19 +270,6 @@ def generate_drive_log(
     return DriveLog(t_col, cmd_col, v_col, acc_col, theta_col, mode)
 
 
-def coverage_report(log: DriveLog, cmd_grid=None, speed_grid=None, config: PlantConfig | None = None):
-    """Fraction of grid cells visited by at least one log sample."""
-    if cmd_grid is None or speed_grid is None:
-        cmd_grid, speed_grid = config.table_grids()
-    from .preprocess import nearest_cell_index
-
-    ci = nearest_cell_index(np.asarray(cmd_grid, float), log.cmd)
-    vi = nearest_cell_index(np.asarray(speed_grid, float), log.v)
-    visited = np.zeros((len(cmd_grid), len(speed_grid)), dtype=bool)
-    visited[ci, vi] = True
-    return float(visited.mean()), visited
-
-
 # ---------------------------------------------------------------------------
 # speed profiles and the tracking loop
 # ---------------------------------------------------------------------------
@@ -321,13 +300,7 @@ class SpeedProfile:
             return vals[0], 0.0
         if t >= pts[-1]:
             return vals[-1], 0.0
-        lo, hi = 0, len(pts) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if pts[mid] <= t:
-                lo = mid
-            else:
-                hi = mid
+        lo = bisect_right(pts, t) - 1
         return vals[lo] + slopes[lo] * (t - pts[lo]), slopes[lo]
 
 
@@ -369,9 +342,6 @@ class TrackingMetrics:
     speed_rmse: float
     station_mae: float
     station_rmse: float
-
-    def as_row(self):
-        return [self.speed_mae, self.speed_rmse, self.station_mae, self.station_rmse]
 
 
 @dataclass
@@ -422,7 +392,7 @@ class OnlineSessionEvent:
     acc_ref: float
     acc_k: float
     gain: float
-    updated_cells: int
+    updated_cells: int  # cells in the full-strength window: the ones _cost_matrix gives zero cost
     revision: int
 
 
@@ -434,7 +404,6 @@ class RunResult:
     events: list  # OnlineSessionEvent per published update
     update_seconds: np.ndarray  # latency of update_table + publish per event
     visited_cells: np.ndarray  # bool grid of cells with admitted feedback
-    snapshots: list = field(default_factory=list)  # (cycle, table) pairs
 
 
 KP = 0.8  # command % per m/s of speed error
@@ -449,7 +418,6 @@ def run_closed_loop(
     online: OnlineConfig | None | bool = None,
     seed: int = 0,
     diverge_limit: float = 5.0,
-    snapshot_every: int | None = None,
 ) -> RunResult:
     """Track the profile with feedforward from the table plus PI correction.
 
@@ -481,7 +449,6 @@ def run_closed_loop(
     visited = np.zeros((len(cmd_grid), len(speed_grid)), dtype=bool)
     events: list[OnlineSessionEvent] = []
     latencies: list[float] = []
-    snapshots: list[tuple[int, CalibrationTable]] = []
 
     t_col = np.empty(n)
     vdes_col = np.empty(n)
@@ -518,40 +485,38 @@ def run_closed_loop(
             t, cmd=cmd, v=s.v, acc_meas=acc_meas, acc_expected=acc_pred,
             v_expected=v_des, mode=MODE_AUTO,
         )
+        updated = False
         if cal is not None:
             before_rev = cal.revision
             t0 = _time.perf_counter()
             updated = cal.step(v_des, s.v, feedback)
             elapsed = _time.perf_counter() - t0
-            if updated:
-                latencies.append(elapsed)
-                ci = int(np.argmin(np.abs(cmd_grid - feedback.cmd_ref)))
-                vi = int(np.argmin(np.abs(speed_grid - feedback.v_ref)))
-                visited[ci, vi] = True
-                in_win = int(
-                    (np.abs(feedback.cmd_ref - cmd_grid) <= cal.cfg.delta_cmd).sum()
-                    * len(speed_grid)
-                    + (np.abs(feedback.v_ref - speed_grid) <= cal.cfg.delta_v).sum()
-                    * len(cmd_grid)
-                )
-                events.append(
-                    OnlineSessionEvent(
-                        cycle=cal.state.cycle,
-                        t=t,
-                        cmd_ref=feedback.cmd_ref,
-                        v_ref=feedback.v_ref,
-                        acc_ref=feedback.acc_ref,
-                        acc_k=feedback.acc_k,
-                        gain=compute_gain(feedback.acc_ref, feedback.acc_k),
-                        updated_cells=in_win,
-                        revision=cal.revision,
-                    )
-                )
-                assert cal.revision == before_rev + 1
-        elif feedback is not None:
-            ci = int(np.argmin(np.abs(cmd_grid - feedback.cmd_ref)))
-            vi = int(np.argmin(np.abs(speed_grid - feedback.v_ref)))
+        # a static run marks every admitted feedback, an online run the
+        # feedback it published an update from
+        if updated or (cal is None and feedback is not None):
+            ci = nearest_cell_index(cmd_grid, feedback.cmd_ref)
+            vi = nearest_cell_index(speed_grid, feedback.v_ref)
             visited[ci, vi] = True
+        if updated:
+            latencies.append(elapsed)
+            in_win = int(
+                (np.abs(feedback.cmd_ref - cmd_grid) <= cal.cfg.delta_cmd).sum()
+                * (np.abs(feedback.v_ref - speed_grid) <= cal.cfg.delta_v).sum()
+            )
+            events.append(
+                OnlineSessionEvent(
+                    cycle=cal.state.cycle,
+                    t=t,
+                    cmd_ref=feedback.cmd_ref,
+                    v_ref=feedback.v_ref,
+                    acc_ref=feedback.acc_ref,
+                    acc_k=feedback.acc_k,
+                    gain=compute_gain(feedback.acc_ref, feedback.acc_k),
+                    updated_cells=in_win,
+                    revision=cal.revision,
+                )
+            )
+            assert cal.revision == before_rev + 1
 
         station_des += v_des * dt
         t_col[k] = t
@@ -571,9 +536,6 @@ def run_closed_loop(
         else:
             diverged_since = None
 
-        if snapshot_every and (k + 1) % snapshot_every == 0 and cal is not None:
-            snapshots.append((k + 1, cal.table))
-
     trace = RunTrace(
         t=t_col, v_des=vdes_col, v=v_col, station_des=sdes_col, station=s_col, cmd=cmd_col
     )
@@ -584,5 +546,4 @@ def run_closed_loop(
         events=events,
         update_seconds=np.asarray(latencies),
         visited_cells=visited,
-        snapshots=snapshots,
     )

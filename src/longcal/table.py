@@ -18,6 +18,7 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import isotonic_regression
 
 __all__ = [
     "CalibrationTable",
@@ -215,37 +216,29 @@ def lookup_cmd(view: InverseTableView, v, acc):
     return out.item(0) if scalar else out
 
 
-def _pav_nondecreasing(column) -> list[float]:
-    """L2 isotonic regression of one column via pool-adjacent-violators."""
-    vals: list[float] = []
-    wts: list[float] = []
-    for y in column:
-        vals.append(y)
-        wts.append(1.0)
-        while len(vals) > 1 and vals[-2] > vals[-1]:
-            w = wts[-2] + wts[-1]
-            vals[-2] = (vals[-2] * wts[-2] + vals[-1] * wts[-1]) / w
-            wts[-2] = w
-            vals.pop()
-            wts.pop()
-    out: list[float] = []
-    for value, weight in zip(vals, wts):
-        out.extend([value] * int(weight))
-    return out
+def _monotone_columns(acc: np.ndarray) -> np.ndarray:
+    """Repair, in place, every column of ``acc`` that decreases somewhere.
+
+    Each such column becomes its unit-weight L2 isotonic regression; the
+    columns that are already non-decreasing are not touched.  The one
+    monotone repair behind ``project_monotone`` and the online update.
+    """
+    for j in np.flatnonzero(np.any(np.diff(acc, axis=0) < 0.0, axis=0)):
+        acc[:, j] = isotonic_regression(acc[:, j]).x
+    return acc
 
 
 def project_monotone(table: CalibrationTable) -> CalibrationTable:
     """Replace each speed column by its nearest non-decreasing sequence.
 
-    The projection is the unit-weight isotonic regression of the column, so
-    already-monotone tables come back unchanged (same object) and the result
-    is always a valid input to ``invert``.
+    The projection is the unit-weight isotonic regression of the column,
+    applied only to the columns that violate, so already-monotone tables
+    come back unchanged (same object) and the result is always a valid
+    input to ``invert``.
     """
     if table.is_monotone():
         return table
-    acc = np.empty_like(table.acc)
-    for j in range(table.acc.shape[1]):
-        acc[:, j] = _pav_nondecreasing(table.acc[:, j].tolist())
+    acc = _monotone_columns(table.acc.copy())
     return CalibrationTable(table.speed_grid, table.cmd_grid, acc)
 
 

@@ -14,7 +14,6 @@ from longcal.offline import (
     build_table,
     cross_validate,
     load_model,
-    predict,
     save_model,
     split_by_sign,
     train_linear,
@@ -47,7 +46,7 @@ class TestTrainMlp:
             model = train_mlp(arr)
         grid_cmd = rng.uniform(3, 100, 50)
         grid_v = rng.uniform(0, 3, 50)
-        assert np.allclose(predict(model, grid_cmd, grid_v), 1.23, atol=1e-3)
+        assert np.allclose(model.predict(grid_cmd, grid_v), 1.23, atol=1e-3)
 
     def test_noiseless_linear_function(self):
         rng = np.random.default_rng(1)
@@ -58,7 +57,7 @@ class TestTrainMlp:
         model = train_mlp(arr, MlpHyper(epochs=150, batch=256, seed=3))
         tc = rng.uniform(5, 100, 500)
         tv = rng.uniform(0, 10, 500)
-        mae = np.abs(predict(model, tc, tv) - (0.02 * tc - 0.05 * tv)).mean()
+        mae = np.abs(model.predict(tc, tv) - (0.02 * tc - 0.05 * tv)).mean()
         assert mae < 0.02
 
     def test_deterministic_given_seed(self):
@@ -95,9 +94,9 @@ class TestPredict:
         model = train_mlp(sample_grid(rng, 800, sign="+", noise=0.05))
         cmds = np.linspace(-150, 150, 31)
         vs = np.linspace(-1, 5, 13)
-        grid = predict(model, *np.meshgrid(cmds, vs))
+        grid = model.predict(*np.meshgrid(cmds, vs))
         assert np.all(np.isfinite(grid))
-        assert np.array_equal(grid, predict(model, *np.meshgrid(cmds, vs)))
+        assert np.array_equal(grid, model.predict(*np.meshgrid(cmds, vs)))
 
     def test_near_symmetric_on_odd_function(self):
         rng = np.random.default_rng(7)
@@ -107,15 +106,15 @@ class TestPredict:
         arr = np.column_stack([cmd, v, 0.03 * cmd])
         model = train_mlp(arr, MlpHyper(epochs=150, batch=256))
         probe = np.linspace(10, 90, 9)
-        plus = predict(model, probe, np.zeros_like(probe))
-        minus = predict(model, -probe, np.zeros_like(probe))
+        plus = model.predict(probe, np.zeros_like(probe))
+        minus = model.predict(-probe, np.zeros_like(probe))
         assert np.allclose(plus, -minus, atol=0.05)
 
     def test_mean_prediction_tracks_mean_target(self):
         rng = np.random.default_rng(8)
         arr = sample_grid(rng, 1000, sign="+", noise=0.05)
         model = train_mlp(arr)
-        preds = predict(model, arr[:, 0], arr[:, 1])
+        preds = model.predict(arr[:, 0], arr[:, 1])
         assert abs(preds.mean() - arr[:, 2].mean()) < 2 * arr[:, 2].std()
 
 
@@ -132,7 +131,7 @@ class TestTrainLinear:
         rng = np.random.default_rng(10)
         arr = sample_grid(rng, 300, noise=0.1)
         model = train_linear(arr)
-        resid = predict(model, arr[:, 0], arr[:, 1]) - arr[:, 2]
+        resid = model.predict(arr[:, 0], arr[:, 1]) - arr[:, 2]
         design = np.column_stack([np.ones(len(arr)), arr[:, 0], arr[:, 1]])
         assert np.all(np.abs(design.T @ resid) < 1e-6 * len(arr))
 
@@ -267,7 +266,7 @@ class TestModelRoundTrip:
         probe_cmd = rng.uniform(0, 100, 40)
         probe_v = rng.uniform(0, 3, 40)
         assert np.array_equal(
-            predict(model, probe_cmd, probe_v), predict(clone, probe_cmd, probe_v)
+            model.predict(probe_cmd, probe_v), clone.predict(probe_cmd, probe_v)
         )
 
     def test_linear_round_trip(self):

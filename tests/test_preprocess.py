@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.signal import butter, lfilter, lfilter_zi
 
 from longcal.preprocess import (
     MODE_AUTO,
@@ -11,6 +12,7 @@ from longcal.preprocess import (
     InsufficientHistory,
     InvalidRate,
     NoMatch,
+    NonFiniteFrame,
     OnlinePreprocessor,
     WindowTooLarge,
     align_delay,
@@ -205,7 +207,8 @@ class TestButterworth:
         x = rng.normal(0, 1, 300)
         stream = ButterworthFilter(100.0)
         one_by_one = np.array([stream(xi) for xi in x])
-        batch = ButterworthFilter(100.0).apply(x)
+        b, a = butter(3, 2.0, fs=100.0, btype="low")
+        batch, _ = lfilter(b, a, x, zi=lfilter_zi(b, a) * x[0])
         assert np.allclose(one_by_one, batch, atol=1e-9)
 
     def test_causal_no_lookahead(self):
@@ -309,7 +312,20 @@ class TestOnlinePreprocessor:
         assert fb.v_ref == 1.0
         assert fb.acc_ref == 0.6
         assert fb.acc_k == pytest.approx(0.4, abs=1e-6)
-        assert fb.a_k == fb.acc_k
+        assert fb.v_k == 1.0
+
+    @pytest.mark.parametrize("name", ["acc_meas", "cmd", "v", "t"])
+    def test_non_finite_frame_raises_and_changes_nothing(self, name):
+        frames = self.steady_frames(n=400)
+        pre = OnlinePreprocessor(sample_rate=100.0)
+        before = self.run_stream(pre, frames[:200])
+        with pytest.raises(NonFiniteFrame):
+            pre.push(**dict(frames[200], **{name: float("nan")}))
+        after = self.run_stream(pre, frames[201:])
+        # admissions resume at once, exactly as if the frame had never come
+        assert len(after) > 190
+        clean = self.run_stream(OnlinePreprocessor(sample_rate=100.0), frames[:200] + frames[201:])
+        assert before + after == clean
 
     def test_inconsistent_sign_rejected(self):
         # measured acceleration above expectation while speed lags: senseless

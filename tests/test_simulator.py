@@ -1,0 +1,138 @@
+"""Simulated plant and tracking loop: goldens, determinism, divergence, and the paper's claim.
+
+The golden files under ``tests/golden`` pin the outputs of the whole
+pipeline so that a refactor which changes them fails here.  Regenerate them
+with ``PYTHONPATH=src python tests/test_simulator.py`` only when an output
+is meant to change, and say why in the change.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from longcal import offline, preprocess, simulator
+from longcal.online import OnlineConfig, _cost_matrix
+from longcal.table import CalibrationTable, serialize
+
+GOLDEN = Path(__file__).parent / "golden"
+LOG_S = 300.0  # drive log behind the golden offline tables
+ONLINE_S = 60.0  # closed-loop run behind the online golden and the claim
+ONLINE_LOAD = 150.0  # kg added to the ax1 in that run
+
+
+def offline_table(config, seed=0):
+    """Drive log to monotone table, with the program's default seeds."""
+    log = simulator.generate_drive_log(config, LOG_S, seed=seed)
+    cmd_grid, speed_grid = config.table_grids()
+    bins = preprocess.offline_pipeline(log, cmd_grid, speed_grid)
+    throttle, brake = offline.split_by_sign(bins.to_samples())
+    t_model = offline.train_mlp(throttle, offline.MlpHyper(seed=0))
+    b_model = offline.train_mlp(brake, offline.MlpHyper(seed=1))
+    return offline.build_table(t_model, b_model, speed_grid, cmd_grid)
+
+
+def ax1_loop(table, online, duration=ONLINE_S, seed=0):
+    loaded = simulator.ax1(load=ONLINE_LOAD)
+    profile = simulator.trapezoid_profile(loaded.v_max, duration)
+    return simulator.run_closed_loop(
+        loaded, table, profile, duration=duration, online=online, seed=seed
+    )
+
+
+@pytest.fixture(scope="module")
+def ax1_table():
+    return offline_table(simulator.ax1(load=0.0))
+
+
+@pytest.fixture(scope="module")
+def mkz_table():
+    return offline_table(simulator.mkz(load=0.0))
+
+
+@pytest.fixture(scope="module")
+def online_run(ax1_table):
+    return ax1_loop(ax1_table, online=True)
+
+
+@pytest.fixture(scope="module")
+def static_run(ax1_table):
+    return ax1_loop(ax1_table, online=False)
+
+
+class TestGoldens:
+    def test_ax1_offline_table(self, ax1_table):
+        assert serialize(ax1_table) == (GOLDEN / "ax1_offline.txt").read_text()
+
+    def test_mkz_offline_table(self, mkz_table):
+        assert serialize(mkz_table) == (GOLDEN / "mkz_offline.txt").read_text()
+
+    def test_ax1_online_final_table(self, online_run):
+        golden = np.loadtxt(GOLDEN / "ax1_online_acc.txt")
+        assert online_run.table.acc.shape == golden.shape
+        assert np.max(np.abs(online_run.table.acc - golden)) <= 1e-9
+
+
+class TestDeterminism:
+    def test_drive_log_repeats_per_seed(self):
+        config = simulator.ax1(load=0.0)
+        a = simulator.generate_drive_log(config, 20.0, seed=3)
+        b = simulator.generate_drive_log(config, 20.0, seed=3)
+        c = simulator.generate_drive_log(config, 20.0, seed=4)
+        assert a.to_csv() == b.to_csv()
+        assert not np.array_equal(a.acc, c.acc)
+
+    def test_closed_loop_repeats_per_seed(self, ax1_table):
+        a = ax1_loop(ax1_table, online=True, duration=5.0, seed=2)
+        b = ax1_loop(ax1_table, online=True, duration=5.0, seed=2)
+        assert np.array_equal(a.trace.v, b.trace.v)
+        assert np.array_equal(a.trace.cmd, b.trace.cmd)
+        assert np.array_equal(a.table.acc, b.table.acc)
+        assert [e.revision for e in a.events] == [e.revision for e in b.events]
+
+
+class TestPlant:
+    def test_true_table_monotone(self):
+        for preset in simulator.PRESETS.values():
+            assert preset(load=0.0).true_table().is_monotone()
+            assert preset(load=600.0).true_table().is_monotone()
+
+    def test_absurd_table_diverges(self):
+        # a table promising 5 m/s^2 more than the vehicle delivers makes the
+        # feedforward brake hard while the profile asks for speed
+        config = simulator.ax1(load=0.0)
+        truth = config.true_table()
+        absurd = CalibrationTable(truth.speed_grid, truth.cmd_grid, truth.acc + 5.0)
+        profile = simulator.trapezoid_profile(config.v_max, 20.0)
+        with pytest.raises(simulator.Diverged):
+            simulator.run_closed_loop(config, absurd, profile, diverge_limit=1.0)
+
+
+class TestPaperClaim:
+    def test_online_beats_static_under_load(self, online_run, static_run):
+        # measured on this run: speed 0.086 vs 0.352 m/s, station 0.36 vs 5.17 m
+        on, st = online_run.metrics, static_run.metrics
+        assert on.speed_mae < 0.5 * st.speed_mae
+        assert on.station_mae < 0.2 * st.station_mae
+
+    def test_online_run_published_updates(self, online_run):
+        assert len(online_run.events) > 100
+        assert [e.revision for e in online_run.events] == list(range(1, len(online_run.events) + 1))
+        assert online_run.table.is_monotone()
+
+    def test_updated_cells_is_the_full_strength_window(self, ax1_table, online_run):
+        # the default half-widths (5 %, 0.2 m/s) equal the grid steps, so the
+        # window spans at most 3 command rows by 3 speed columns
+        cells = [e.updated_cells for e in online_run.events]
+        assert 1 <= min(cells) and max(cells) <= 9
+        for e in online_run.events[:50]:
+            fb = preprocess.OnlineFeedback(e.cmd_ref, e.v_ref, e.acc_ref, e.acc_k, v_k=0.0)
+            assert e.updated_cells == int((_cost_matrix(ax1_table, fb, OnlineConfig()) == 0).sum())
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    ax1 = offline_table(simulator.ax1(load=0.0))
+    (GOLDEN / "ax1_offline.txt").write_text(serialize(ax1))
+    (GOLDEN / "mkz_offline.txt").write_text(serialize(offline_table(simulator.mkz(load=0.0))))
+    np.savetxt(GOLDEN / "ax1_online_acc.txt", ax1_loop(ax1, online=True).table.acc, fmt="%.17g")
