@@ -7,8 +7,8 @@ vehicle plant with configurable load.
 
 from .table import (
     CalibrationTable,
-    InverseTableView,
     MonotonicityViolation,
+    NonFiniteTable,
     ParseError,
     default_cmd_grid,
     default_speed_grid,

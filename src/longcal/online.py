@@ -9,10 +9,9 @@ window around the feedback point update at full strength.
 
 Feedback arrives already gated by ``OnlinePreprocessor.push``, which runs
 the one command-consistency gate.  The columns a step leaves decreasing
-are repaired by the one isotonic repair in ``table``; the result is
-exported as a fresh inverse view and published by atomic whole-table
-replacement: a reader always sees either the old or the new table, never a
-mixture.
+are repaired by the one isotonic repair in ``table``; the result passes
+``invert`` and is published by atomic whole-table replacement: a reader
+always sees either the old or the new table, never a mixture.
 """
 
 from __future__ import annotations
@@ -23,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .preprocess import OnlineFeedback
-from .table import CalibrationTable, InverseTableView, _monotone_columns, invert
+from .table import CalibrationTable, _monotone_columns, invert
 
 __all__ = [
     "OnlineConfig",
-    "OnlineState",
     "OnlineCalibrator",
     "converge_check",
     "compute_gain",
@@ -138,43 +136,7 @@ def _cost_matrix(
     return distance * similarity
 
 
-@dataclass
-class OnlineState:
-    """Mutable adaptation state around an immutable published table.
-
-    ``init_table`` is frozen at construction and referenced by every
-    similarity cost for the life of the session; only ``table`` (plus its
-    inverse view and revision) advances.
-    """
-
-    init_table: CalibrationTable
-    _published: tuple = None
-    cycle: int = 0
-
-    def __post_init__(self):
-        if not self.init_table.is_monotone():
-            raise ValueError("initial table must be monotone before going online")
-        if self._published is None:
-            self._published = (self.init_table, invert(self.init_table), 0)
-
-    @property
-    def table(self) -> CalibrationTable:
-        return self._published[0]
-
-    @property
-    def inverse(self) -> InverseTableView:
-        return self._published[1]
-
-    @property
-    def revision(self) -> int:
-        return self._published[2]
-
-    def snapshot(self) -> tuple:
-        """One consistent (table, inverse, revision) triple."""
-        return self._published
-
-
-def update_table(state: OnlineState, feedback: OnlineFeedback, cfg: OnlineConfig) -> CalibrationTable:
+def update_table(state: OnlineCalibrator, feedback: OnlineFeedback, cfg: OnlineConfig) -> CalibrationTable:
     """Build the successor table for one feedback event.
 
     Every cell moves toward the measured acceleration by
@@ -193,48 +155,54 @@ def update_table(state: OnlineState, feedback: OnlineFeedback, cfg: OnlineConfig
     return CalibrationTable._trusted(old.speed_grid, old.cmd_grid, acc)
 
 
-def publish(state: OnlineState, new_table: CalibrationTable) -> None:
-    """Make ``new_table`` the controller-visible table, atomically.
+def publish(state: OnlineCalibrator, new_table: CalibrationTable) -> None:
+    """Check ``new_table`` with ``invert`` and make it the controller-visible table, atomically.
 
-    The (table, inverse, revision) triple is swapped in one reference
-    assignment; concurrent readers observe either the previous triple or
-    this one, and revisions increase strictly.
+    The (table, revision) pair is swapped in one reference assignment;
+    concurrent readers observe either the previous pair or this one, and
+    revisions increase strictly.  A table that ``invert`` refuses raises
+    before the swap, so the previous pair stays published.
     """
-    state._published = (new_table, invert(new_table), state.revision + 1)
+    state._published = (invert(new_table), state.revision + 1)
 
 
 class OnlineCalibrator:
-    """Session driver: one ``step`` per control cycle.
+    """Session state and driver: one ``step`` per control cycle.
 
-    Skipped cycles (converged speed, or no admissible feedback) still count
-    toward the cycle counter; nothing decays between updates.
+    ``init_table`` passes ``invert`` and is then frozen for the session:
+    every similarity cost refers to it.  Only the published (table,
+    revision) pair advances.  Skipped cycles (converged speed, or no
+    admissible feedback) still count toward ``cycle``; nothing decays
+    between updates.
     """
 
     def __init__(self, init_table: CalibrationTable, cfg: OnlineConfig | None = None):
         self.cfg = cfg or OnlineConfig()
-        self.state = OnlineState(init_table=init_table)
+        self.init_table = invert(init_table)
+        self.cycle = 0
+        self._published = (self.init_table, 0)
 
     @property
     def table(self) -> CalibrationTable:
-        return self.state.table
-
-    @property
-    def inverse(self) -> InverseTableView:
-        return self.state.inverse
+        return self._published[0]
 
     @property
     def revision(self) -> int:
-        return self.state.revision
+        return self._published[1]
+
+    def snapshot(self) -> tuple[CalibrationTable, int]:
+        """One consistent (table, revision) pair."""
+        return self._published
 
     def step(self, v_expected: float, v_actual: float, feedback: OnlineFeedback | None) -> bool:
         """Run one cycle; returns True when a new table was published."""
-        self.state.cycle += 1
+        self.cycle += 1
         if converge_check(v_expected, v_actual, self.cfg.gamma_v):
             return False
         if feedback is None:
             return False
-        new_table = update_table(self.state, feedback, self.cfg)
-        if new_table is self.state.table:
+        new_table = update_table(self, feedback, self.cfg)
+        if new_table is self.table:
             return False
-        publish(self.state, new_table)
+        publish(self, new_table)
         return True

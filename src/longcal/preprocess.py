@@ -46,6 +46,10 @@ class NonFiniteFrame(ValueError):
     """An online frame carries a NaN or infinite number."""
 
 
+class TimestampNotIncreasing(ValueError):
+    """An online frame's timestamp repeats or precedes the previous frame's."""
+
+
 class DriveLog:
     """Column-oriented drive log with CSV round-trip.
 
@@ -455,7 +459,7 @@ class OnlineFeedback:
 class OnlinePreprocessor:
     """Stateful per-cycle gatekeeper turning raw frames into OnlineFeedback.
 
-    Pipeline order per cycle: finiteness check, mode/steering gate,
+    Pipeline order per cycle: finiteness and timestamp checks, mode/steering gate,
     actuator-delay alignment (a FIFO of issued commands), causal Butterworth
     filtering of the IMU channel (``ButterworthFilter.__call__``, one sample
     per cycle), ``command_consistency_gate`` over the history deques for the
@@ -509,11 +513,15 @@ class OnlinePreprocessor:
         ``cmd`` is the command issued this cycle, ``acc_expected`` the
         acceleration the table predicts for it, ``v_expected`` the desired
         speed right now, and ``acc_meas`` the raw IMU reading.  A frame with
-        a non-finite number raises NonFiniteFrame and leaves the filter and
-        the history as they were, so the next finite frame carries on.
+        a non-finite number raises NonFiniteFrame, and one whose ``t`` is not
+        later than the previous frame's raises TimestampNotIncreasing; both
+        leave the filter and the history as they were, so the next valid
+        frame carries on.
         """
         if not all(map(math.isfinite, (t, cmd, v, acc_meas, acc_expected, v_expected, theta))):
             raise NonFiniteFrame(f"frame at t={t!r} holds a non-finite value")
+        if self._t_hist and t <= self._t_hist[-1]:
+            raise TimestampNotIncreasing(f"frame at t={t!r} does not follow t={self._t_hist[-1]!r}")
         acc_f = self._filter(acc_meas)
         auto = (mode == MODE_AUTO) and (abs(theta) < self.delta_steer)
         self._t_hist.append(t)

@@ -438,7 +438,9 @@ def run_closed_loop(
     noise = rng.normal(0.0, config.noise_std, n) if config.noise_std > 0 else np.zeros(n)
 
     cal = OnlineCalibrator(table, online) if online else None
-    static_inverse = invert(table)
+    # a static run reads ``table`` as given and as ``invert`` returned it; an
+    # online run reads the latest published table both ways
+    acc_table, cmd_table = table, invert(table)
     pre = OnlinePreprocessor(
         sample_rate=config.sample_rate,
         delay=config.delay,
@@ -465,19 +467,17 @@ def run_closed_loop(
         t = k * dt
         v_des, acc_des = profile.sample(t)
         if cal is not None:
-            snap_table, snap_inverse, _rev = cal.state.snapshot()
-        else:
-            snap_table, snap_inverse = table, static_inverse
+            acc_table = cmd_table = cal.table
         v = plant.state.v
         err = v_des - v
         integral += err * dt
-        ff = lookup_cmd(snap_inverse, v, acc_des)
+        ff = lookup_cmd(cmd_table, v, acc_des)
         cmd = ff + KP * err + KI * integral
         if cmd > 100.0:
             cmd = 100.0
         elif cmd < -100.0:
             cmd = -100.0
-        acc_pred = lookup_acc(snap_table, cmd, v)
+        acc_pred = lookup_acc(acc_table, cmd, v)
 
         s = plant.step(cmd)
         acc_meas = s.acc + noise[k]
@@ -505,7 +505,7 @@ def run_closed_loop(
             )
             events.append(
                 OnlineSessionEvent(
-                    cycle=cal.state.cycle,
+                    cycle=cal.cycle,
                     t=t,
                     cmd_ref=feedback.cmd_ref,
                     v_ref=feedback.v_ref,

@@ -1,4 +1,4 @@
-"""Calibration table: the (command, speed) -> acceleration grid and its inverse.
+"""Calibration table: the (command, speed) -> acceleration grid, read both ways.
 
 The table stores, for every grid point, the steady longitudinal acceleration
 a vehicle produces when a pedal command is held at a given speed.  Commands
@@ -7,9 +7,10 @@ live on a single signed axis: brake is [-100, 0), throttle is (0, 100], so
 constraint across the whole axis.
 
 The controller-facing direction is the inverse: given a desired acceleration
-at the current speed, pick the command.  ``invert`` builds that view, and
-``project_monotone`` repairs tables whose columns lost monotonicity (for
-example after an additive online update).
+at the current speed, pick the command.  ``lookup_cmd`` reads it straight
+off the table's columns once ``invert`` has checked that they are finite and
+monotone, and ``project_monotone`` repairs tables whose columns lost
+monotonicity (for example after an additive online update).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from scipy.optimize import isotonic_regression
 
 __all__ = [
     "CalibrationTable",
-    "InverseTableView",
     "MonotonicityViolation",
+    "NonFiniteTable",
     "ParseError",
     "default_cmd_grid",
     "default_speed_grid",
@@ -40,6 +41,10 @@ FLOAT_FMT = "%.9g"  # fixed-precision text output, 9 significant digits
 
 class MonotonicityViolation(ValueError):
     """A speed column decreases somewhere along the command axis."""
+
+
+class NonFiniteTable(ValueError):
+    """A table cell is NaN or infinite."""
 
 
 class ParseError(ValueError):
@@ -124,61 +129,41 @@ class CalibrationTable:
         return obj
 
 
-@dataclass(frozen=True)
-class InverseTableView:
-    """Per-speed monotone map acceleration -> command.
-
-    ``acc_columns[j]`` holds the (non-decreasing) accelerations of speed
-    column j over ``cmd_grid``; interpolating command against that column
-    inverts the table at that speed.
-    """
-
-    speed_grid: np.ndarray
-    cmd_grid: np.ndarray
-    acc_columns: np.ndarray  # shape |speed_grid| x |cmd_grid|
-
-    def __post_init__(self):
-        for name in ("speed_grid", "cmd_grid", "acc_columns"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def _grid_weights(grid: np.ndarray, x):
+def _grid_weights(grid: np.ndarray, x: float) -> tuple[int, float]:
     """Clamp x into the grid and return (left index, fractional weight)."""
-    x = np.clip(x, grid[0], grid[-1])
-    idx = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, len(grid) - 2)
-    w = (x - grid[idx]) / (grid[idx + 1] - grid[idx])
-    return idx, w
+    x = min(max(x, grid[0]), grid[-1])
+    i = min(int(grid.searchsorted(x, side="right")) - 1, len(grid) - 2)
+    return i, float((x - grid[i]) / (grid[i + 1] - grid[i]))
 
 
-def lookup_acc(table: CalibrationTable, cmd, v):
+def lookup_acc(table: CalibrationTable, cmd: float, v: float) -> float:
     """Bilinear interpolation of acceleration at (cmd, v).
 
     Queries outside the grid are clamped to its edge: commanding beyond the
-    table never extrapolates the pedal map.  Exact at grid points.  Accepts
-    scalars or equally shaped arrays.
+    table never extrapolates the pedal map.  Exact at grid points.
     """
-    scalar = np.isscalar(cmd) and np.isscalar(v)
-    ci, cw = _grid_weights(table.cmd_grid, np.asarray(cmd, dtype=float))
-    vi, vw = _grid_weights(table.speed_grid, np.asarray(v, dtype=float))
+    ci, cw = _grid_weights(table.cmd_grid, cmd)
+    vi, vw = _grid_weights(table.speed_grid, v)
     a = table.acc
-    out = (
+    return float(
         a[ci, vi] * (1.0 - cw) * (1.0 - vw)
         + a[ci + 1, vi] * cw * (1.0 - vw)
         + a[ci, vi + 1] * (1.0 - cw) * vw
         + a[ci + 1, vi + 1] * cw * vw
     )
-    return float(out) if scalar else out
 
 
-def invert(table: CalibrationTable) -> InverseTableView:
-    """Build the acceleration -> command view used by the controller.
+def invert(table: CalibrationTable) -> CalibrationTable:
+    """Check that ``lookup_cmd`` can read ``table`` and return the same table.
 
-    Raises MonotonicityViolation if any speed column decreases anywhere;
-    plateaus (equal neighbours) are allowed and invert to the upper command
-    of the flat run.
+    Raises NonFiniteTable if any cell is NaN or infinite, and
+    MonotonicityViolation if any speed column decreases anywhere; plateaus
+    (equal neighbours) are allowed and invert to the upper command of the
+    flat run.  Every table the controller reads passes here: the static
+    table once, and every online table when it is published.
     """
+    if not np.isfinite(table.acc).all():
+        raise NonFiniteTable("table holds a NaN or infinite acceleration")
     diffs = np.diff(table.acc, axis=0)
     if np.any(diffs < 0.0):
         bad = int(np.argwhere(np.any(diffs < 0.0, axis=0))[0][0])
@@ -186,34 +171,21 @@ def invert(table: CalibrationTable) -> InverseTableView:
             f"speed column {bad} (v={table.speed_grid[bad]:g} m/s) is not "
             "monotone in command"
         )
-    return InverseTableView(
-        speed_grid=table.speed_grid,
-        cmd_grid=table.cmd_grid,
-        acc_columns=table.acc.T.copy(),
-    )
+    return table
 
 
-def lookup_cmd(view: InverseTableView, v, acc):
+def lookup_cmd(table: CalibrationTable, v: float, acc: float) -> float:
     """Command that the table says produces ``acc`` at speed ``v``.
 
     Each neighbouring speed column is inverted by piecewise-linear
     interpolation (clamped to the column's acceleration range), then the two
-    per-column commands are blended linearly in speed.
+    per-column commands are blended linearly in speed.  ``table`` must have
+    passed ``invert``.
     """
-    scalar = np.isscalar(v) and np.isscalar(acc)
-    v, acc = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(acc, dtype=float))
-    v = np.atleast_1d(v)
-    acc = np.atleast_1d(acc)
-    vi, vw = _grid_weights(view.speed_grid, v)
-    out = np.empty(v.shape)
-    for k in range(v.size):
-        i = int(vi.flat[k])
-        w = float(vw.flat[k])
-        a_q = float(acc.flat[k])
-        lo = np.interp(a_q, view.acc_columns[i], view.cmd_grid)
-        hi = np.interp(a_q, view.acc_columns[i + 1], view.cmd_grid)
-        out.flat[k] = (1.0 - w) * lo + w * hi
-    return out.item(0) if scalar else out
+    j, w = _grid_weights(table.speed_grid, v)
+    lo = np.interp(acc, table.acc[:, j], table.cmd_grid)
+    hi = np.interp(acc, table.acc[:, j + 1], table.cmd_grid)
+    return float((1.0 - w) * lo + w * hi)
 
 
 def _monotone_columns(acc: np.ndarray) -> np.ndarray:

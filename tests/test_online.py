@@ -8,7 +8,6 @@ import pytest
 from longcal.online import (
     OnlineCalibrator,
     OnlineConfig,
-    OnlineState,
     cell_cost,
     compute_gain,
     converge_check,
@@ -17,7 +16,8 @@ from longcal.online import (
     _cost_matrix,
 )
 from longcal.preprocess import OnlineFeedback
-from longcal.table import CalibrationTable, invert, lookup_acc
+from longcal.simulator import ax1
+from longcal.table import CalibrationTable, NonFiniteTable, lookup_acc
 
 
 def grid_table(n_cmd=41, n_speed=16, v_max=3.0, slope=0.03):
@@ -83,7 +83,7 @@ class TestCellCost:
         j = int(np.argmin(np.abs(table.speed_grid - 1.0)))
         feedback = fb(cmd_ref=float(table.cmd_grid[i]), v_ref=float(table.speed_grid[j]),
                       acc_k=float(table.acc[i, j]))
-        state = OnlineState(init_table=table)
+        state = OnlineCalibrator(table)
         assert cell_cost(state.init_table, i, j, feedback, cfg) == 0.0
 
     def test_far_cell_hand_value(self):
@@ -132,14 +132,14 @@ class TestCellCost:
 class TestUpdateTable:
     def test_zero_gain_fixed_point(self):
         table = grid_table()
-        state = OnlineState(init_table=table)
+        state = OnlineCalibrator(table)
         new = update_table(state, fb(acc_ref=0.5, acc_k=0.5), OnlineConfig())
         assert new is table
 
     def test_window_cells_take_full_step(self):
         table = grid_table()
         cfg = OnlineConfig()
-        state = OnlineState(init_table=table)
+        state = OnlineCalibrator(table)
         feedback = fb(cmd_ref=20.0, v_ref=1.0, acc_ref=0.8, acc_k=0.3)
         gain = compute_gain(feedback.acc_ref, feedback.acc_k)
         new = update_table(state, feedback, cfg)
@@ -158,7 +158,7 @@ class TestUpdateTable:
     def test_step_bounded_by_sigma_gain(self):
         rng = np.random.default_rng(0)
         table = grid_table()
-        state = OnlineState(init_table=table)
+        state = OnlineCalibrator(table)
         cfg = OnlineConfig()
         for _ in range(25):
             feedback = fb(
@@ -189,7 +189,7 @@ class TestUpdateTable:
 
     def test_moves_toward_measurement(self):
         table = grid_table()
-        state = OnlineState(init_table=table)
+        state = OnlineCalibrator(table)
         cfg = OnlineConfig()
         # sluggish: promised 0.8, measured 0.3 -> cells drop
         new = update_table(state, fb(acc_ref=0.8, acc_k=0.3), cfg)
@@ -222,18 +222,18 @@ class TestUpdateTable:
                 fb(cmd_ref=rng.uniform(-100, 100), v_ref=rng.uniform(0, 3),
                    acc_ref=acc_ref, acc_k=acc_ref + rng.uniform(-1, 1)),
             )
-        assert np.array_equal(cal.state.init_table.acc, frozen)
+        assert np.array_equal(cal.init_table.acc, frozen)
         with pytest.raises(ValueError):
-            cal.state.init_table.acc[0, 0] = 9.9
+            cal.init_table.acc[0, 0] = 9.9
 
     def test_update_independent_of_other_cells(self):
         # the per-cell step depends on the feedback and the initial table
         # only, so two current tables differing far away get identical steps
         base = grid_table()
-        state_a = OnlineState(init_table=base)
+        state_a = OnlineCalibrator(base)
         other_acc = base.acc.copy()
         other_acc[:, 10:] += 0.25  # same monotonicity, different far values
-        state_b = OnlineState(init_table=base)
+        state_b = OnlineCalibrator(base)
         publish(state_b, CalibrationTable(base.speed_grid, base.cmd_grid, other_acc))
         cfg = OnlineConfig()
         feedback = fb(cmd_ref=-40.0, v_ref=0.6, acc_ref=-1.0, acc_k=-1.3)
@@ -247,7 +247,7 @@ class TestUpdateTable:
         # a feedback at the edge of the window bends the column; the
         # published table must still be monotone
         table = grid_table(slope=0.001)
-        state = OnlineState(init_table=table)
+        state = OnlineCalibrator(table)
         cfg = OnlineConfig(sigma=1.0, iota=5.0)
         feedback = fb(cmd_ref=20.0, v_ref=1.0, acc_ref=2.0, acc_k=-2.0)
         new = update_table(state, feedback, cfg)
@@ -257,7 +257,7 @@ class TestUpdateTable:
 class TestPublish:
     def test_revision_strictly_increasing(self):
         table = grid_table()
-        state = OnlineState(init_table=table)
+        state = OnlineCalibrator(table)
         assert state.revision == 0
         publish(state, table)
         publish(state, table)
@@ -265,21 +265,22 @@ class TestPublish:
 
     def test_snapshot_consistency_under_concurrent_publish(self):
         table = grid_table(n_cmd=11, n_speed=6)
-        state = OnlineState(init_table=table)
+        state = OnlineCalibrator(table)
         stop = threading.Event()
         errors = []
+        published = [table]  # published[rev] is the table of revision rev
 
         def reader():
             last_rev = -1
             while not stop.is_set():
-                snap_table, snap_inverse, rev = state.snapshot()
+                snap_table, rev = state.snapshot()
                 if rev < last_rev:
                     errors.append(f"revision went backwards: {rev} < {last_rev}")
                 last_rev = rev
                 if not snap_table.is_monotone():
                     errors.append("non-monotone table observed")
-                if not np.array_equal(snap_inverse.acc_columns, snap_table.acc.T):
-                    errors.append("inverse does not match table")
+                if snap_table is not published[rev]:
+                    errors.append(f"revision {rev} paired with another revision's table")
 
         threads = [threading.Thread(target=reader) for _ in range(3)]
         for t in threads:
@@ -289,6 +290,7 @@ class TestPublish:
         for _ in range(300):
             acc = current.acc + rng.uniform(0.0, 0.01)
             current = CalibrationTable(table.speed_grid, table.cmd_grid, acc)
+            published.append(current)
             publish(state, current)
         stop.set()
         for t in threads:
@@ -302,16 +304,27 @@ class TestOnlineCalibrator:
         cal = OnlineCalibrator(grid_table(), OnlineConfig())
         updated = cal.step(1.0, 1.02, fb(acc_ref=1.0, acc_k=0.0))
         assert updated is False
-        assert cal.state.cycle == 1
+        assert cal.cycle == 1
         assert cal.revision == 0
 
     def test_no_feedback_no_update(self):
         cal = OnlineCalibrator(grid_table(), OnlineConfig())
         assert cal.step(2.0, 1.0, None) is False
-        assert cal.state.cycle == 1
+        assert cal.cycle == 1
+
+    # the step's inf - inf on the way to the refusal warns; the refusal is what counts
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_update_is_refused(self):
+        # the gain overflows to inf, so the step leaves no cell finite
+        table = ax1().true_table()
+        cal = OnlineCalibrator(table)
+        with pytest.raises(NonFiniteTable):
+            cal.step(2.0, 1.0, OnlineFeedback(20.0, 1.0, 1e308, -1e308, 1.0))
+        assert cal.revision == 0
+        assert cal.table is table
 
     def test_update_publishes_new_revision(self):
         cal = OnlineCalibrator(grid_table(), OnlineConfig())
         assert cal.step(2.0, 1.0, fb(acc_ref=0.9, acc_k=0.2)) is True
         assert cal.revision == 1
-        assert cal.state.cycle == 1
+        assert cal.cycle == 1

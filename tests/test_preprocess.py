@@ -14,6 +14,7 @@ from longcal.preprocess import (
     NoMatch,
     NonFiniteFrame,
     OnlinePreprocessor,
+    TimestampNotIncreasing,
     WindowTooLarge,
     align_delay,
     bin_and_uniform,
@@ -26,6 +27,7 @@ from longcal.preprocess import (
     speed_acc_consistency_gate,
     steering_gate,
 )
+from longcal.simulator import ax1, generate_drive_log
 
 
 def make_log(n=100, cmd=None, v=None, acc=None, theta=None, mode=None, dt=0.01):
@@ -314,13 +316,24 @@ class TestOnlinePreprocessor:
         assert fb.acc_k == pytest.approx(0.4, abs=1e-6)
         assert fb.v_k == 1.0
 
-    @pytest.mark.parametrize("name", ["acc_meas", "cmd", "v", "t"])
-    def test_non_finite_frame_raises_and_changes_nothing(self, name):
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            pytest.param({"acc_meas": float("nan")}, NonFiniteFrame, id="acc_meas"),
+            pytest.param({"cmd": float("nan")}, NonFiniteFrame, id="cmd"),
+            pytest.param({"v": float("nan")}, NonFiniteFrame, id="v"),
+            pytest.param({"t": float("nan")}, NonFiniteFrame, id="t"),
+            # frame 200 carrying frame 199's time, and a time one second back
+            pytest.param({"t": 199 * 0.01}, TimestampNotIncreasing, id="t-repeated"),
+            pytest.param({"t": 200 * 0.01 - 1.0}, TimestampNotIncreasing, id="t-back"),
+        ],
+    )
+    def test_non_finite_frame_raises_and_changes_nothing(self, change, error):
         frames = self.steady_frames(n=400)
         pre = OnlinePreprocessor(sample_rate=100.0)
         before = self.run_stream(pre, frames[:200])
-        with pytest.raises(NonFiniteFrame):
-            pre.push(**dict(frames[200], **{name: float("nan")}))
+        with pytest.raises(error):
+            pre.push(**dict(frames[200], **change))
         after = self.run_stream(pre, frames[201:])
         # admissions resume at once, exactly as if the frame had never come
         assert len(after) > 190
@@ -378,3 +391,25 @@ class TestOnlinePreprocessor:
         assert stepped
         late = [fb for fb in stepped if fb.acc_k > 0.9]
         assert len(late) / len(stepped) > 0.8
+
+
+class TestDriveLogCsv:
+    @pytest.fixture(scope="class")
+    def text(self):
+        return generate_drive_log(ax1(), duration=20.0, seed=0).to_csv()
+
+    def test_round_trip_through_text_and_file(self, text, tmp_path):
+        assert DriveLog.from_csv(text).to_csv() == text
+        path = tmp_path / "log.csv"
+        DriveLog.from_csv(text).save(path)
+        assert DriveLog.load(path).to_csv() == text
+
+    def test_wrong_header_rejected(self, text):
+        with pytest.raises(ValueError, match="header"):
+            DriveLog.from_csv(text.replace("theta", "steer", 1))
+
+    def test_swapped_rows_rejected(self, text):
+        lines = text.splitlines(keepends=True)
+        lines[10], lines[11] = lines[11], lines[10]
+        with pytest.raises(ValueError, match="timestamps must be strictly increasing"):
+            DriveLog.from_csv("".join(lines))

@@ -100,14 +100,6 @@ class TestLookupAcc:
             a = lookup_acc(t, cmd, v)
             assert corners.min() - 1e-12 <= a <= corners.max() + 1e-12
 
-    def test_vectorized(self):
-        t = make_table()
-        cmds = np.array([0.0, 25.0, 50.0])
-        vs = np.array([0.5, 1.5, 2.5])
-        got = lookup_acc(t, cmds, vs)
-        want = [lookup_acc(t, c, v) for c, v in zip(cmds, vs)]
-        assert np.allclose(got, want)
-
 
 class TestInvert:
     def test_linear_column(self):
