@@ -9,7 +9,8 @@ window around the feedback point update at full strength.
 
 Feedback arrives already gated by ``OnlinePreprocessor.push``, which runs
 the one command-consistency gate.  The columns a step leaves decreasing
-are repaired by the one isotonic repair in ``table``; the result passes
+are repaired together, by one batched isotonic pass in ``table``, and a
+non-finite gain is refused before the step; the result passes
 ``invert`` and is published by atomic whole-table replacement: a reader
 always sees either the old or the new table, never a mixture.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .preprocess import OnlineFeedback
-from .table import CalibrationTable, _monotone_columns, invert
+from .table import CalibrationTable, NonFiniteTable, _monotone_columns, invert
 
 __all__ = [
     "OnlineConfig",
@@ -142,11 +143,15 @@ def update_table(state: OnlineCalibrator, feedback: OnlineFeedback, cfg: OnlineC
     Every cell moves toward the measured acceleration by
     ``sigma * gain / (1 + cost)``, so no cell ever moves further than
     ``sigma`` times the observed error, and zero-cost cells move exactly
-    that far.  Only the columns the step left decreasing are re-projected,
-    by the same isotonic repair as ``project_monotone``; the old table is
-    left untouched.
+    that far.  The columns the step left decreasing are re-projected
+    together, by the same batched isotonic repair as ``project_monotone``;
+    the old table is left untouched.  A gain that is not finite (finite
+    but huge feedback overflows it) raises NonFiniteTable before any array
+    work, the same refusal ``publish`` would make of the result.
     """
     gain = compute_gain(feedback.acc_ref, feedback.acc_k)
+    if not math.isfinite(gain):
+        raise NonFiniteTable(f"feedback gain {gain!r} is not finite")
     old = state.table
     if gain == 0.0:
         return old

@@ -460,7 +460,8 @@ class OnlinePreprocessor:
     """Stateful per-cycle gatekeeper turning raw frames into OnlineFeedback.
 
     Pipeline order per cycle: finiteness and timestamp checks, mode/steering gate,
-    actuator-delay alignment (a FIFO of issued commands), causal Butterworth
+    actuator-delay alignment (a FIFO of issued commands; one that matured
+    more than half a sample before the current frame is dropped), causal Butterworth
     filtering of the IMU channel (``ButterworthFilter.__call__``, one sample
     per cycle), ``command_consistency_gate`` over the history deques for the
     +-window around the issue time (a history that does not yet cover the
@@ -516,7 +517,8 @@ class OnlinePreprocessor:
         a non-finite number raises NonFiniteFrame, and one whose ``t`` is not
         later than the previous frame's raises TimestampNotIncreasing; both
         leave the filter and the history as they were, so the next valid
-        frame carries on.
+        frame carries on.  After a forward jump in ``t``, the commands whose
+        delay matured inside the jump are dropped unadmitted.
         """
         if not all(map(math.isfinite, (t, cmd, v, acc_meas, acc_expected, v_expected, theta))):
             raise NonFiniteFrame(f"frame at t={t!r} holds a non-finite value")
@@ -531,6 +533,10 @@ class OnlinePreprocessor:
         feedback = None
         while self._pending and self._pending[0][0] + self.delay_total <= t + 0.5 * self._dt:
             t_ref, cmd_ref, v_ref, acc_ref, issued_auto = self._pending.popleft()
+            # matured more than half a sample ago (the clock jumped forward):
+            # this frame's acceleration is not the command's effect
+            if t_ref + self.delay_total < t - 0.5 * self._dt:
+                continue
             if not (auto and issued_auto):
                 continue
             try:

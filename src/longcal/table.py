@@ -10,7 +10,8 @@ The controller-facing direction is the inverse: given a desired acceleration
 at the current speed, pick the command.  ``lookup_cmd`` reads it straight
 off the table's columns once ``invert`` has checked that they are finite and
 monotone, and ``project_monotone`` repairs tables whose columns lost
-monotonicity (for example after an additive online update).
+monotonicity (for example after an additive online update): every violating
+column at once, in one vectorised pool-adjacent-violators pass.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import isotonic_regression
 
 __all__ = [
     "CalibrationTable",
@@ -192,21 +192,45 @@ def _monotone_columns(acc: np.ndarray) -> np.ndarray:
     """Repair, in place, every column of ``acc`` that decreases somewhere.
 
     Each such column becomes its unit-weight L2 isotonic regression; the
-    columns that are already non-decreasing are not touched.  The one
-    monotone repair behind ``project_monotone`` and the online update.
+    columns that are already non-decreasing are not touched.  All violating
+    columns are repaired together by one pool-adjacent-violators pass: laid
+    end to end, each column starts as blocks of its ascending steps (every
+    strictly descending run pooled from the start), and each round merges
+    every block whose left neighbour in the same column has a larger mean,
+    until none does.  Merging any adjacent violators, in any order, ends at
+    the same unique regression.  The one monotone repair behind
+    ``project_monotone`` and the online update.
     """
-    for j in np.flatnonzero(np.any(np.diff(acc, axis=0) < 0.0, axis=0)):
-        acc[:, j] = isotonic_regression(acc[:, j]).x
+    d = acc[1:] - acc[:-1]
+    bad = np.flatnonzero((d < 0.0).any(axis=0))
+    if bad.size == 0:
+        return acc
+    n = acc.shape[0]
+    vals = acc.T[bad].ravel()
+    start = np.ones((bad.size, n), dtype=bool)
+    start[:, 1:] = d.T[bad] >= 0.0
+    # block edges over the columns laid end to end, closed by a sentinel
+    edges = np.append(np.flatnonzero(start), vals.size)
+    while True:
+        counts = edges[1:] - edges[:-1]
+        mean = np.add.reduceat(vals, edges[:-1]) / counts
+        # a column's head block never merges into the column before it
+        merge = (mean[:-1] > mean[1:]) & (edges[1:-1] % n != 0)
+        if not merge.any():
+            break
+        edges = edges[np.concatenate(([True], ~merge, [True]))]
+    acc.T[bad] = np.repeat(mean, counts).reshape(bad.size, n)
     return acc
 
 
 def project_monotone(table: CalibrationTable) -> CalibrationTable:
     """Replace each speed column by its nearest non-decreasing sequence.
 
-    The projection is the unit-weight isotonic regression of the column,
-    applied only to the columns that violate, so already-monotone tables
-    come back unchanged (same object) and the result is always a valid
-    input to ``invert``.
+    The projection is the unit-weight isotonic regression of each column
+    that violates, all of them computed in one batched pass; the other
+    columns keep their values bit for bit, an already-monotone table comes
+    back unchanged (same object), and the result is always a valid input
+    to ``invert``.
     """
     if table.is_monotone():
         return table

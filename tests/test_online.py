@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.optimize import isotonic_regression
 
 from longcal.online import (
     OnlineCalibrator,
@@ -16,7 +17,7 @@ from longcal.online import (
     _cost_matrix,
 )
 from longcal.preprocess import OnlineFeedback
-from longcal.simulator import ax1
+from longcal.simulator import ax1, run_closed_loop, trapezoid_profile
 from longcal.table import CalibrationTable, NonFiniteTable, lookup_acc
 
 
@@ -253,6 +254,31 @@ class TestUpdateTable:
         new = update_table(state, feedback, cfg)
         assert new.is_monotone()
 
+    def test_replay_matches_per_column_isotonic_reference(self):
+        # the feedback of every update a 20 s online ax1(+150 kg) run published
+        init = ax1().true_table()
+        cfg = OnlineConfig()
+        loaded = ax1(load=150.0)
+        run = run_closed_loop(
+            loaded, init, trapezoid_profile(loaded.v_max, 20.0), duration=20.0, online=cfg
+        )
+        feedbacks = [fb(e.cmd_ref, e.v_ref, e.acc_ref, e.acc_k) for e in run.events]
+        assert len(feedbacks) > 500
+        cal = OnlineCalibrator(init, cfg)
+        ref = init.acc.copy()
+        repaired = 0
+        for feedback in feedbacks:
+            publish(cal, update_table(cal, feedback, cfg))
+            # the same step, then scipy's isotonic regression column by column
+            gain = compute_gain(feedback.acc_ref, feedback.acc_k)
+            ref = ref - cfg.sigma * gain / (1.0 + _cost_matrix(init, feedback, cfg))
+            for j in np.flatnonzero(np.any(np.diff(ref, axis=0) < 0.0, axis=0)):
+                ref[:, j] = isotonic_regression(ref[:, j]).x
+                repaired += 1
+            np.testing.assert_allclose(cal.table.acc, ref, rtol=0.0, atol=1e-12)
+        assert repaired > len(feedbacks)
+        assert np.array_equal(cal.table.acc, run.table.acc)
+
 
 class TestPublish:
     def test_revision_strictly_increasing(self):
@@ -312,10 +338,8 @@ class TestOnlineCalibrator:
         assert cal.step(2.0, 1.0, None) is False
         assert cal.cycle == 1
 
-    # the step's inf - inf on the way to the refusal warns; the refusal is what counts
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_update_is_refused(self):
-        # the gain overflows to inf, so the step leaves no cell finite
+        # the gain overflows to inf and is refused before the step
         table = ax1().true_table()
         cal = OnlineCalibrator(table)
         with pytest.raises(NonFiniteTable):

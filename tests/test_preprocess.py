@@ -340,6 +340,25 @@ class TestOnlinePreprocessor:
         clean = self.run_stream(OnlinePreprocessor(sample_rate=100.0), frames[:200] + frames[201:])
         assert before + after == clean
 
+    def test_forward_gap_drops_stale_pairings(self):
+        # the clock jumps from t=1.99 to 3.00 after frame 199; the command
+        # changes with it, so a pre-gap cmd_ref is recognisable after the gap
+        dt = 0.01
+        frames = self.steady_frames(n=400)
+        for k, f in enumerate(frames[200:]):
+            f.update(t=3.0 + k * dt, cmd=60.0)
+        pre = OnlinePreprocessor(sample_rate=100.0)
+        before = self.run_stream(pre, frames[:200])
+        assert {fb.cmd_ref for fb in before} == {20.0}
+        after = [(f["t"], pre.push(**f)) for f in frames[200:]]
+        admitted_at = [t for t, fb in after if fb is not None]
+        # nothing issued before the gap is paired with an acceleration after it
+        assert {fb.cmd_ref for _, fb in after if fb is not None} == {60.0}
+        assert admitted_at[0] >= 3.0 + pre.delay_total - 0.5 * dt
+        # from the first post-gap command's maturity on, every frame admits
+        assert len(admitted_at) == sum(f["t"] >= admitted_at[0] for f in frames[200:])
+        assert len(admitted_at) > 150
+
     def test_inconsistent_sign_rejected(self):
         # measured acceleration above expectation while speed lags: senseless
         frames = self.steady_frames(acc=0.9, acc_exp=0.6, v_exp=1.2, v=1.0)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import isotonic_regression
 
 from longcal.table import (
     CalibrationTable,
@@ -15,6 +18,7 @@ from longcal.table import (
     lookup_cmd,
     project_monotone,
     serialize,
+    _monotone_columns,
 )
 
 
@@ -194,6 +198,47 @@ class TestProjectMonotone:
             for _ in range(500):
                 cand = np.sort(col + rng.normal(0, 0.3, 4))
                 assert np.sum((cand - col) ** 2) >= best - 1e-9
+
+
+@st.composite
+def repair_tables(draw):
+    """Tables whose columns are noise, ascending, descending or plateaus, with ties."""
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(2, 8))
+    value = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.floats(-1e3, 1e3))
+    cols = []
+    for _ in range(m):
+        col = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+        shape = draw(st.sampled_from(["raw", "ascending", "descending", "plateau"]))
+        if shape == "ascending":
+            col = np.sort(col)
+        elif shape == "descending":
+            col = -np.sort(-col)
+        elif shape == "plateau":
+            lo = draw(st.integers(0, n - 2))
+            col[lo : draw(st.integers(lo + 2, n))] = col[lo]
+        cols.append(col)
+    return np.column_stack(cols)
+
+
+class TestMonotoneColumnsProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(repair_tables())
+    def test_batched_repair_matches_per_column_isotonic(self, acc):
+        out = _monotone_columns(acc.copy())
+        monotone = np.all(np.diff(acc, axis=0) >= 0.0, axis=0)
+        ref = acc.copy()
+        for j in np.flatnonzero(~monotone):
+            ref[:, j] = isotonic_regression(acc[:, j]).x
+        scale = max(1.0, float(np.abs(acc).max()))
+        assert np.all(np.abs(out - ref) <= 1e-12 * scale)
+        assert np.all(np.diff(out, axis=0) >= 0.0)
+        assert np.array_equal(out[:, monotone], acc[:, monotone])
+        # project_monotone is the same repair, and idempotent
+        n, m = acc.shape
+        p = project_monotone(CalibrationTable(np.arange(float(m)), np.arange(float(n)), acc))
+        assert np.array_equal(p.acc, out)
+        assert project_monotone(p) is p
 
 
 class TestSerialization:
