@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
-from scipy.signal import butter, group_delay, lfilter_zi
 
 MODE_MANUAL = "MANUAL"
 MODE_AUTO = "AUTO"
@@ -359,29 +358,65 @@ def align_delay(t_cmd, t_imu, delay: float = 0.2, max_mismatch: float | None = N
     return cmd_idx, imu_idx
 
 
+def _butter_lowpass(order: int, cutoff_hz: float, sample_rate: float):
+    """Digital Butterworth low-pass: ``(b, a, zi, dc_delay)``.
+
+    ``b`` and ``a`` are the transfer-function coefficients, ``zi`` the
+    direct-form II transposed state of a unit constant input, and
+    ``dc_delay`` the group delay at DC in samples.  The steps and their order
+    are those of SciPy's ``signal.butter`` and ``signal.lfilter_zi``, so
+    ``b``, ``a`` and ``zi`` come out bit-equal to SciPy's.
+    """
+    # analog prototype poles, prewarped for the bilinear transform (fs = 2)
+    warped = 4.0 * math.tan(math.pi * (2.0 * cutoff_hz / sample_rate) / 2.0)
+    m = np.arange(-order + 1, order, 2)
+    p = -np.exp(1j * math.pi * m / (2 * order)) * warped
+    k = warped**order
+    # bilinear map s -> z; every analog zero at infinity lands on z = -1
+    p_z = (4.0 + p) / (4.0 - p)
+    k_z = k * np.real(1.0 / np.prod(4.0 - p))
+    b = k_z * np.poly(-np.ones(order))
+    a = np.poly(p_z).real
+    # the state a unit step settles to: (I - A) zi = B, A the companion of a
+    companion = np.eye(order, k=-1)
+    companion[0] = -a[1:]
+    zi = np.linalg.solve(np.eye(order) - companion.T, b[1:] - a[1:] * b[0])
+    # -d(phase)/dw of b/a at w = 0, from the coefficients' centres of mass
+    n = np.arange(order + 1)
+    dc_delay = float((n @ b) / b.sum() - (n @ a) / a.sum())
+    return b, a, zi, dc_delay
+
+
 class ButterworthFilter:
     """Causal low-pass filter with per-stream state.
 
     Third order, 2 Hz cutoff by default, discretised by the bilinear
-    transform.  State is primed to the steady-state response of the first
-    sample, so a constant stream passes through unchanged from the start and
-    the filter stays linear in its input.  One instance per stream; not
-    thread-safe.
+    transform.  The design is plain numpy (``_butter_lowpass``), bit-equal
+    to SciPy's ``signal.butter``/``signal.lfilter_zi``.  ``dc_delay`` is the
+    group delay at DC in samples.  State is primed to the steady-state
+    response of the first sample, so a constant stream passes through
+    unchanged from the start and the filter stays linear in its input.  One
+    instance per stream; not thread-safe.
     """
 
     def __init__(self, sample_rate: float, cutoff_hz: float = 2.0, order: int = 3):
-        if sample_rate <= 2.0 * cutoff_hz:
+        if not (isinstance(order, (int, np.integer)) and order >= 1):
+            raise ValueError(f"order must be an integer >= 1, got {order!r}")
+        if not (math.isfinite(cutoff_hz) and cutoff_hz > 0.0):
+            raise ValueError(f"cutoff must be finite and positive, got {cutoff_hz!r}")
+        if not (math.isfinite(sample_rate) and sample_rate > 2.0 * cutoff_hz):
             raise InvalidRate(
-                f"sample rate {sample_rate:g} Hz must exceed twice the "
+                f"sample rate {sample_rate:g} Hz must be finite and exceed twice the "
                 f"{cutoff_hz:g} Hz cutoff"
             )
         self.sample_rate = float(sample_rate)
         self.cutoff_hz = float(cutoff_hz)
         self.order = int(order)
-        self._b, self._a = butter(order, cutoff_hz, fs=sample_rate, btype="low")
-        self._zi_unit = lfilter_zi(self._b, self._a)
-        self._bl = [float(c) for c in self._b]
-        self._al = [float(c) for c in self._a]
+        b, a, self._zi_unit, self.dc_delay = _butter_lowpass(
+            self.order, self.cutoff_hz, self.sample_rate
+        )
+        self._bl = [float(c) for c in b]
+        self._al = [float(c) for c in a]
         self._state = None
 
     def __call__(self, x: float) -> float:
@@ -398,36 +433,38 @@ class ButterworthFilter:
         return y
 
 
-def butterworth_lowpass(series, sample_rate: float, cutoff_hz: float = 2.0, order: int = 3):
-    """One-shot causal Butterworth low-pass over a whole series, streamed sample by sample."""
-    lowpass = ButterworthFilter(sample_rate, cutoff_hz, order)
-    return np.array([lowpass(x) for x in np.asarray(series, dtype=float).tolist()])
-
-
 def command_consistency_gate(
-    t_hist, cmd_hist, t_ref: float, delta_cmd_gap: float, window: float = 0.1
+    t_hist, cmd_hist, t_ref: float, delta_cmd_gap: float, dt: float, window: float = 0.1
 ) -> bool:
     """True when every command within +-window of t_ref stays near the reference.
 
-    ``t_hist`` must be increasing.  The reference command is the history
-    value nearest ``t_ref`` (the earlier one on a tie).  Plain Python over any
-    indexable sequence, so the online preprocessor passes its history deques
-    as they are, once per control cycle.  Raises InsufficientHistory when the
-    history does not span the whole window.
+    ``t_hist`` must be increasing, sampled every ``dt`` seconds.  The
+    reference command is the history value nearest ``t_ref`` (the earlier one
+    on a tie).  Plain Python over any indexable sequence, so the online
+    preprocessor passes its history deques as they are, once per control
+    cycle.  Raises InsufficientHistory unless the samples inside the window
+    reach both of its ends (within half a sample) and miss at most one of its
+    ``round(2 * window / dt) + 1`` frames: a frame ``push`` refused leaves
+    such a one-sample hole, while a jump in the clock leaves an edge empty.
     """
-    n = len(t_hist)
-    if n == 0 or t_hist[0] > t_ref - window + 1e-9 or t_hist[-1] < t_ref + window - 1e-9:
-        raise InsufficientHistory(
-            f"history [{t_hist[0] if n else 'empty'}, {t_hist[-1] if n else 'empty'}] "
-            f"does not cover [{t_ref - window:g}, {t_ref + window:g}]"
-        )
-    k = bisect_left(t_hist, t_ref)
-    if k == n or (k > 0 and t_ref - t_hist[k - 1] <= t_hist[k] - t_ref):
-        k -= 1
-    cmd_ref = cmd_hist[k]
     lo = bisect_left(t_hist, t_ref - window - 1e-12)
     hi = bisect_right(t_hist, t_ref + window + 1e-12)
-    return all(abs(c - cmd_ref) < delta_cmd_gap for c in islice(cmd_hist, lo, hi))
+    if (
+        hi - lo < max(round(2.0 * window / dt), 1)
+        or t_hist[lo] > t_ref - window + 0.5 * dt
+        or t_hist[hi - 1] < t_ref + window - 0.5 * dt
+    ):
+        raise InsufficientHistory(
+            f"{hi - lo} samples do not fill [{t_ref - window:g}, {t_ref + window:g}]"
+        )
+    k = bisect_left(t_hist, t_ref)
+    if k == len(t_hist) or (k > 0 and t_ref - t_hist[k - 1] <= t_hist[k] - t_ref):
+        k -= 1
+    cmd_ref = cmd_hist[k]
+    # max(c) - ref rounds to max over c of (c - ref): float subtraction is
+    # monotone, so this is |c - ref| < gap for every c in the window
+    cmds = list(islice(cmd_hist, lo, hi))
+    return max(cmds) - cmd_ref < delta_cmd_gap and cmd_ref - min(cmds) < delta_cmd_gap
 
 
 def speed_acc_consistency_gate(v_ref: float, v_k: float, a_ref: float, a_k: float) -> bool:
@@ -464,8 +501,8 @@ class OnlinePreprocessor:
     more than half a sample before the current frame is dropped), causal Butterworth
     filtering of the IMU channel (``ButterworthFilter.__call__``, one sample
     per cycle), ``command_consistency_gate`` over the history deques for the
-    +-window around the issue time (a history that does not yet cover the
-    window admits nothing), and the speed/acceleration sign-consistency
+    +-window around the issue time (a window the history does not yet fill
+    admits nothing), and the speed/acceleration sign-consistency
     check.
     """
 
@@ -479,20 +516,18 @@ class OnlinePreprocessor:
     ):
         if delay < window:
             raise ValueError("delay must cover the consistency window")
+        # the filter validates the rate, so it is built before dividing by it
+        self._filter = ButterworthFilter(sample_rate)
         self.sample_rate = float(sample_rate)
         self.delay = float(delay)
         self.delta_steer = float(delta_steer)
         self.delta_cmd_gap = float(delta_cmd_gap)
         self.window = float(window)
         self._dt = 1.0 / float(sample_rate)
-        self._filter = ButterworthFilter(sample_rate)
         # the causal low-pass delays the measured acceleration by its group
         # delay; fold that into the pairing constant so a command meets the
         # acceleration it actually caused, not a pre-command reading
-        gd_samples = float(
-            group_delay((self._filter._b, self._filter._a), w=[1e-9], fs=sample_rate)[1][0]
-        )
-        self.delay_total = self.delay + gd_samples * self._dt
+        self.delay_total = self.delay + self._filter.dc_delay * self._dt
         self._pending = deque()
         hist_len = int(round((self.delay_total + window) / self._dt)) + 4
         self._t_hist = deque(maxlen=hist_len)
@@ -541,7 +576,7 @@ class OnlinePreprocessor:
                 continue
             try:
                 steady = command_consistency_gate(
-                    self._t_hist, self._cmd_hist, t_ref, self.delta_cmd_gap, self.window
+                    self._t_hist, self._cmd_hist, t_ref, self.delta_cmd_gap, self._dt, self.window
                 )
             except InsufficientHistory:
                 steady = False

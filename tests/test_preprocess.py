@@ -1,9 +1,14 @@
 """Offline cleaning ops, the Butterworth filter, and the online feedback gates."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.signal import butter, lfilter, lfilter_zi
+from scipy.signal import butter, group_delay, lfilter, lfilter_zi
 
+import longcal
 from longcal.preprocess import (
     MODE_AUTO,
     ButterworthFilter,
@@ -18,7 +23,6 @@ from longcal.preprocess import (
     WindowTooLarge,
     align_delay,
     bin_and_uniform,
-    butterworth_lowpass,
     command_consistency_gate,
     mean_filter,
     nearest_cell_index,
@@ -172,20 +176,55 @@ class TestAlignDelay:
             align_delay(t_cmd, t_imu, delay=0.2)
 
 
+def lowpass(series, sample_rate=100.0):
+    f = ButterworthFilter(sample_rate)
+    return np.array([f(x) for x in series])
+
+
 class TestButterworth:
     def test_rate_must_clear_cutoff(self):
         with pytest.raises(InvalidRate):
-            butterworth_lowpass(np.zeros(10), sample_rate=4.0)
+            ButterworthFilter(4.0)
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            pytest.param(dict(cutoff_hz=0.0), ValueError, id="cutoff-0"),
+            pytest.param(dict(cutoff_hz=-1.0), ValueError, id="cutoff-neg"),
+            pytest.param(dict(cutoff_hz=float("nan")), ValueError, id="cutoff-nan"),
+            pytest.param(dict(order=0), ValueError, id="order-0"),
+            pytest.param(dict(order=-1), ValueError, id="order-neg"),
+            pytest.param(dict(order=2.5), ValueError, id="order-frac"),
+            pytest.param(dict(sample_rate=0.0), InvalidRate, id="rate-0"),
+            pytest.param(dict(sample_rate=float("inf")), InvalidRate, id="rate-inf"),
+            pytest.param(dict(sample_rate=float("nan")), InvalidRate, id="rate-nan"),
+        ],
+    )
+    def test_invalid_arguments_raise(self, args, error):
+        with pytest.raises(error):
+            ButterworthFilter(**{"sample_rate": 100.0, **args})
+        if error is InvalidRate:
+            with pytest.raises(InvalidRate):
+                OnlinePreprocessor(args["sample_rate"])
+
+    @pytest.mark.parametrize("rate", [50.0, 100.0, 200.0])
+    def test_design_equals_scipy(self, rate):
+        f = ButterworthFilter(rate)
+        b, a = butter(3, 2.0, fs=rate, btype="low")
+        assert np.array_equal(f._bl, b)
+        assert np.array_equal(f._al, a)
+        assert np.array_equal(f._zi_unit, lfilter_zi(b, a))
+        assert abs(f.dc_delay - group_delay((b, a), w=[1e-9], fs=rate)[1][0]) < 1e-9
 
     def test_unity_dc_gain(self):
-        out = butterworth_lowpass(np.full(500, 2.7), sample_rate=100.0)
+        out = lowpass(np.full(500, 2.7))
         assert np.allclose(out, 2.7, atol=1e-9)
 
     @staticmethod
     def steady_gain(freq_hz, rate=100.0, seconds=6.0):
         t = np.arange(int(seconds * rate)) / rate
         x = np.sin(2 * np.pi * freq_hz * t)
-        y = butterworth_lowpass(x, rate)
+        y = lowpass(x, rate)
         tail = y[len(y) // 2 :]
         return np.sqrt(2.0) * tail.std()
 
@@ -200,8 +239,8 @@ class TestButterworth:
         x = rng.normal(0, 1, 400)
         y = rng.normal(0, 1, 400)
         a, b = 1.7, -0.6
-        lhs = butterworth_lowpass(a * x + b * y, 100.0)
-        rhs = a * butterworth_lowpass(x, 100.0) + b * butterworth_lowpass(y, 100.0)
+        lhs = lowpass(a * x + b * y)
+        rhs = a * lowpass(x) + b * lowpass(y)
         assert np.allclose(lhs, rhs, atol=1e-9)
 
     def test_streaming_matches_batch(self):
@@ -216,10 +255,10 @@ class TestButterworth:
     def test_causal_no_lookahead(self):
         # outputs up to k must not change when the future changes
         x = np.zeros(100)
-        y1 = butterworth_lowpass(x, 100.0)
+        y1 = lowpass(x)
         x2 = x.copy()
         x2[60:] = 5.0
-        y2 = butterworth_lowpass(x2, 100.0)
+        y2 = lowpass(x2)
         assert np.allclose(y1[:60], y2[:60])
 
 
@@ -230,23 +269,42 @@ class TestCommandConsistencyGate:
 
     def test_constant_true(self):
         t, c = self.make_hist(lambda ti: 30.0)
-        assert command_consistency_gate(t, c, 0.5, delta_cmd_gap=10.0)
+        assert command_consistency_gate(t, c, 0.5, dt=0.01, delta_cmd_gap=10.0)
 
     def test_spike_false(self):
         t, c = self.make_hist(lambda ti: 30.0)
         c[np.argmin(np.abs(t - 0.55))] = 30.0 + 2 * 10.0
-        assert not command_consistency_gate(t, c, 0.5, delta_cmd_gap=10.0)
+        assert not command_consistency_gate(t, c, 0.5, dt=0.01, delta_cmd_gap=10.0)
 
     def test_slow_ramp_true(self):
         # slope delta/0.3s: max deviation inside +-0.1s is delta/3 < delta
         delta = 9.0
         t, c = self.make_hist(lambda ti: delta / 0.3 * ti)
-        assert command_consistency_gate(t, c, 0.5, delta_cmd_gap=delta)
+        assert command_consistency_gate(t, c, 0.5, dt=0.01, delta_cmd_gap=delta)
 
     def test_insufficient_history(self):
         t, c = self.make_hist(lambda ti: 0.0, t0=0.45, t1=0.55)
         with pytest.raises(InsufficientHistory):
-            command_consistency_gate(t, c, 0.5, delta_cmd_gap=10.0)
+            command_consistency_gate(t, c, 0.5, dt=0.01, delta_cmd_gap=10.0)
+
+    @pytest.mark.parametrize(
+        "dropped, fills",
+        [
+            # the history reaches past both ends of [0.4, 0.6] every time
+            pytest.param((0.46, 0.47, 0.48, 0.49), False, id="four-inside"),
+            pytest.param((0.40,), False, id="first-frame"),
+            # one frame inside, as a frame push refused leaves
+            pytest.param((0.47,), True, id="one-inside"),
+        ],
+    )
+    def test_window_with_missing_frames(self, dropped, fills):
+        t, c = self.make_hist(lambda ti: 0.0)
+        keep = np.all(np.abs(t[:, None] - np.array(dropped)) > 0.005, axis=1)
+        if fills:
+            assert command_consistency_gate(t[keep], c[keep], 0.5, dt=0.01, delta_cmd_gap=10.0)
+        else:
+            with pytest.raises(InsufficientHistory):
+                command_consistency_gate(t[keep], c[keep], 0.5, dt=0.01, delta_cmd_gap=10.0)
 
 
 class TestSpeedAccConsistencyGate:
@@ -354,7 +412,8 @@ class TestOnlinePreprocessor:
         admitted_at = [t for t, fb in after if fb is not None]
         # nothing issued before the gap is paired with an acceleration after it
         assert {fb.cmd_ref for _, fb in after if fb is not None} == {60.0}
-        assert admitted_at[0] >= 3.0 + pre.delay_total - 0.5 * dt
+        # nor is anything admitted before the post-gap history fills the window
+        assert admitted_at[0] >= 3.0 + pre.window + pre.delay_total - 0.5 * dt
         # from the first post-gap command's maturity on, every frame admits
         assert len(admitted_at) == sum(f["t"] >= admitted_at[0] for f in frames[200:])
         assert len(admitted_at) > 150
@@ -432,3 +491,16 @@ class TestDriveLogCsv:
         lines[10], lines[11] = lines[11], lines[10]
         with pytest.raises(ValueError, match="timestamps must be strictly increasing"):
             DriveLog.from_csv("".join(lines))
+
+
+def test_runtime_imports_no_scipy():
+    # a fresh interpreter importing the package from this checkout
+    src = Path(longcal.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import longcal, longcal.preprocess, longcal.offline, longcal.online, longcal.simulator\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
