@@ -514,6 +514,12 @@ class OnlinePreprocessor:
         delta_cmd_gap: float = 10.0,
         window: float = 0.1,
     ):
+        for name, value in (
+            ("delay", delay), ("window", window),
+            ("delta_cmd_gap", delta_cmd_gap), ("delta_steer", delta_steer),
+        ):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if delay < window:
             raise ValueError("delay must cover the consistency window")
         # the filter validates the rate, so it is built before dividing by it

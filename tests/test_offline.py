@@ -8,6 +8,7 @@ from longcal.offline import (
     Degenerate,
     LinearModel,
     MlpHyper,
+    MlpModel,
     RegressionSample,
     Singular,
     TooFewSamples,
@@ -19,6 +20,7 @@ from longcal.offline import (
     train_linear,
     train_mlp,
 )
+from longcal.offline import as_sample_array
 from longcal.table import lookup_acc
 
 
@@ -35,6 +37,99 @@ def sample_grid(rng, n, v_max=3.0, noise=0.0, sign=None):
     v = rng.uniform(0, v_max, n)
     acc = curvy(cmd, v) + (rng.normal(0, noise, n) if noise else 0.0)
     return np.column_stack([cmd, v, acc])
+
+
+def _reference_train_mlp(samples, hyper=None):
+    """``train_mlp`` with a separate Adam update per weight and bias array.
+
+    The reference for the flat-buffer trainer, which must give bit-identical
+    nets: same initialisation, shuffling and batches, and per element the
+    same operations in the same order.
+    """
+    hyper = hyper or MlpHyper()
+    arr = as_sample_array(samples)
+    X_raw = arr[:, :2]
+    y_raw = arr[:, 2:3]
+    x_mean = X_raw.mean(axis=0)
+    x_std = X_raw.std(axis=0)
+    x_std[x_std == 0.0] = 1.0
+    y_mean = float(y_raw.mean())
+    y_std = float(y_raw.std())
+    if np.ptp(y_raw) == 0.0:
+        y_std = 0.0
+
+    def _sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-x))
+
+    sizes = [2, hyper.hidden, hyper.hidden, 1]
+    rng = np.random.default_rng(hyper.seed)
+    weights = [
+        rng.normal(0.0, 1.0 / np.sqrt(sizes[i]), size=(sizes[i], sizes[i + 1]))
+        for i in range(3)
+    ]
+    biases = [np.zeros(sizes[i + 1]) for i in range(3)]
+    model = MlpModel(weights, biases, x_mean, x_std, y_mean, y_std)
+    if y_std == 0.0:
+        for w in weights:
+            w *= 0.0
+        model.first_epoch_mse = model.final_mse = 0.0
+        return model
+
+    X = (X_raw - x_mean) / x_std
+    y = (y_raw - y_mean) / y_std
+    m_w = [np.zeros_like(w) for w in weights]
+    v_w = [np.zeros_like(w) for w in weights]
+    m_b = [np.zeros_like(b) for b in biases]
+    v_b = [np.zeros_like(b) for b in biases]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = 0
+    batch = int(min(hyper.batch, max(64, np.ceil(len(X) / 8))))
+
+    def full_mse():
+        a1 = _sigmoid(X @ weights[0] + biases[0])
+        a2 = _sigmoid(a1 @ weights[1] + biases[1])
+        return float(((a2 @ weights[2] + biases[2] - y) ** 2).mean())
+
+    for epoch in range(hyper.epochs):
+        order = rng.permutation(len(X))
+        for s in range(0, len(X), batch):
+            idx = order[s : s + batch]
+            xb, yb = X[idx], y[idx]
+            a1 = _sigmoid(xb @ weights[0] + biases[0])
+            a2 = _sigmoid(a1 @ weights[1] + biases[1])
+            out = a2 @ weights[2] + biases[2]
+            delta = 2.0 * (out - yb) / len(xb)
+            grads_w = [None, None, a2.T @ delta]
+            grads_b = [None, None, delta.sum(axis=0)]
+            d2 = (delta @ weights[2].T) * a2 * (1.0 - a2)
+            grads_w[1] = a1.T @ d2
+            grads_b[1] = d2.sum(axis=0)
+            d1 = (d2 @ weights[1].T) * a1 * (1.0 - a1)
+            grads_w[0] = xb.T @ d1
+            grads_b[0] = d1.sum(axis=0)
+            step += 1
+            c1 = 1.0 - beta1**step
+            c2 = 1.0 - beta2**step
+            for i in range(3):
+                m_w[i] = beta1 * m_w[i] + (1.0 - beta1) * grads_w[i]
+                v_w[i] = beta2 * v_w[i] + (1.0 - beta2) * grads_w[i] ** 2
+                weights[i] -= hyper.lr * (m_w[i] / c1) / (np.sqrt(v_w[i] / c2) + eps)
+                m_b[i] = beta1 * m_b[i] + (1.0 - beta1) * grads_b[i]
+                v_b[i] = beta2 * v_b[i] + (1.0 - beta2) * grads_b[i] ** 2
+                biases[i] -= hyper.lr * (m_b[i] / c1) / (np.sqrt(v_b[i] / c2) + eps)
+        if epoch == 0:
+            model.first_epoch_mse = full_mse()
+    model.final_mse = full_mse()
+    return model
+
+
+def assert_same_net(a, b):
+    # byte equality: every parameter to the last bit, the sign of zero included
+    for pa, pb in zip(a.weights + a.biases, b.weights + b.biases, strict=True):
+        assert pa.shape == pb.shape
+        assert pa.tobytes() == pb.tobytes()
+    assert a.first_epoch_mse == b.first_epoch_mse
+    assert a.final_mse == b.final_mse
 
 
 class TestTrainMlp:
@@ -79,6 +174,66 @@ class TestTrainMlp:
         rng = np.random.default_rng(4)
         with pytest.raises(TooFewSamples):
             train_mlp(sample_grid(rng, 20, sign="+"))
+
+    @pytest.mark.parametrize(
+        "n, hyper",
+        [
+            # n < 512: the 64-row batch floor, 300 = 4 x 64 + a partial 44
+            pytest.param(300, MlpHyper(hidden=16, epochs=3, seed=0), id="floor-partial-h16"),
+            pytest.param(300, MlpHyper(hidden=4, epochs=1, seed=1), id="floor-partial-h4"),
+            # 256 = 4 x 64: the floor with whole batches only
+            pytest.param(256, MlpHyper(hidden=4, epochs=3, seed=0), id="floor-whole"),
+            # batch ceil(1000 / 8) = 125, 8 whole batches
+            pytest.param(1000, MlpHyper(hidden=16, epochs=3, seed=1), id="eighth-whole"),
+            # 1050 rows in batches of 100: a partial last batch of 50
+            pytest.param(1050, MlpHyper(hidden=4, epochs=3, batch=100, seed=0), id="batch100-partial"),
+            # the full 512-row batch: 4500 = 8 x 512 + a partial 404
+            pytest.param(4500, MlpHyper(hidden=16, epochs=1, seed=1), id="batch512-partial"),
+        ],
+    )
+    def test_equals_per_layer_reference(self, n, hyper):
+        arr = sample_grid(np.random.default_rng(20 + n), n, sign="+", noise=0.05)
+        assert_same_net(train_mlp(arr, hyper), _reference_train_mlp(arr, hyper))
+
+    def test_degenerate_equals_per_layer_reference(self):
+        arr = sample_grid(np.random.default_rng(21), 200, sign="+")
+        arr[:, 2] = 0.7
+        with pytest.warns(Degenerate):
+            model = train_mlp(arr, MlpHyper(hidden=4))
+        # w *= 0.0 keeps the sign of each initial weight as a signed zero
+        assert any(np.signbit(w).any() for w in model.weights)
+        assert_same_net(model, _reference_train_mlp(arr, MlpHyper(hidden=4)))
+
+    def test_fits_share_no_buffer(self):
+        rng = np.random.default_rng(22)
+        first = train_mlp(sample_grid(rng, 300, sign="+", noise=0.05), MlpHyper(epochs=2))
+        kept = [p.copy() for p in first.weights + first.biases]
+        second = train_mlp(sample_grid(rng, 300, sign="-", noise=0.05), MlpHyper(epochs=2, seed=4))
+        for p, q in zip(first.weights + first.biases, kept, strict=True):
+            assert np.array_equal(p, q)
+        for p in first.weights + first.biases:
+            for q in second.weights + second.biases:
+                assert not np.shares_memory(p, q)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("lr", float("nan"), id="lr-nan"),
+            pytest.param("lr", float("inf"), id="lr-inf"),
+            pytest.param("lr", -1.0, id="lr-negative"),
+            pytest.param("lr", 0.0, id="lr-zero"),
+            pytest.param("epochs", 0, id="epochs-zero"),
+            pytest.param("epochs", -3, id="epochs-negative"),
+            pytest.param("epochs", 2.5, id="epochs-fraction"),
+            pytest.param("batch", 0, id="batch-zero"),
+            pytest.param("hidden", 0, id="hidden-zero"),
+        ],
+    )
+    def test_invalid_hyper_raises(self, field, value):
+        # before, these trained to NaN or diverged weights, returned an
+        # untrained net, or died on a bare range() or divide-by-zero error
+        with pytest.raises(ValueError, match=field):
+            MlpHyper(**{field: value})
 
     def test_accepts_regression_samples(self):
         rng = np.random.default_rng(5)

@@ -375,6 +375,22 @@ class TestOnlinePreprocessor:
         assert fb.v_k == 1.0
 
     @pytest.mark.parametrize(
+        "args",
+        [
+            pytest.param(dict(delta_cmd_gap=float("nan")), id="delta_cmd_gap-nan"),
+            pytest.param(dict(delta_steer=float("nan")), id="delta_steer-nan"),
+            pytest.param(dict(window=-0.1), id="window-negative"),
+            pytest.param(dict(delay=float("nan")), id="delay-nan"),
+        ],
+    )
+    def test_invalid_arguments_raise(self, args):
+        # each was accepted before and then admitted nothing, or died on a
+        # bare conversion error
+        with pytest.raises(ValueError, match=next(iter(args))):
+            OnlinePreprocessor(sample_rate=100.0, **args)
+        assert self.run_stream(OnlinePreprocessor(sample_rate=100.0), self.steady_frames())
+
+    @pytest.mark.parametrize(
         "change, error",
         [
             pytest.param({"acc_meas": float("nan")}, NonFiniteFrame, id="acc_meas"),

@@ -21,15 +21,36 @@ ONLINE_S = 60.0  # closed-loop run behind the online golden and the claim
 ONLINE_LOAD = 150.0  # kg added to the ax1 in that run
 
 
-def offline_table(config, seed=0):
-    """Drive log to monotone table, with the program's default seeds."""
+def offline_fit(config, seed=0):
+    """Drive log to (monotone table, throttle net, brake net), with the program's default seeds."""
     log = simulator.generate_drive_log(config, LOG_S, seed=seed)
     cmd_grid, speed_grid = config.table_grids()
     bins = preprocess.offline_pipeline(log, cmd_grid, speed_grid)
     throttle, brake = offline.split_by_sign(bins.to_samples())
     t_model = offline.train_mlp(throttle, offline.MlpHyper(seed=0))
     b_model = offline.train_mlp(brake, offline.MlpHyper(seed=1))
-    return offline.build_table(t_model, b_model, speed_grid, cmd_grid)
+    return offline.build_table(t_model, b_model, speed_grid, cmd_grid), t_model, b_model
+
+
+def offline_table(config, seed=0):
+    return offline_fit(config, seed)[0]
+
+
+def nets_text(throttle, brake) -> str:
+    """Both losses and every parameter of the two nets, losslessly as ``float.hex``.
+
+    The table goldens keep 9 significant digits, so only this one sees a
+    last-bit change in a weight.
+    """
+    lines = []
+    for name, model in (("throttle", throttle), ("brake", brake)):
+        lines.append(f"{name} first_epoch_mse {model.first_epoch_mse.hex()}")
+        lines.append(f"{name} final_mse {model.final_mse.hex()}")
+        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+            lines.append(f"{name} w{i} {w.shape[0]} {w.shape[1]}")
+            lines.extend(" ".join(x.hex() for x in row) for row in w.tolist())
+            lines.append(f"{name} b{i} " + " ".join(x.hex() for x in b.tolist()))
+    return "\n".join(lines) + "\n"
 
 
 def ax1_loop(table, online, duration=ONLINE_S, seed=0):
@@ -41,8 +62,13 @@ def ax1_loop(table, online, duration=ONLINE_S, seed=0):
 
 
 @pytest.fixture(scope="module")
-def ax1_table():
-    return offline_table(simulator.ax1(load=0.0))
+def ax1_fit():
+    return offline_fit(simulator.ax1(load=0.0))
+
+
+@pytest.fixture(scope="module")
+def ax1_table(ax1_fit):
+    return ax1_fit[0]
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +89,10 @@ def static_run(ax1_table):
 class TestGoldens:
     def test_ax1_offline_table(self, ax1_table):
         assert serialize(ax1_table) == (GOLDEN / "ax1_offline.txt").read_text()
+
+    def test_ax1_nets_bit_exact(self, ax1_fit):
+        _, throttle, brake = ax1_fit
+        assert nets_text(throttle, brake) == (GOLDEN / "ax1_nets.txt").read_text()
 
     def test_mkz_offline_table(self, mkz_table):
         assert serialize(mkz_table) == (GOLDEN / "mkz_offline.txt").read_text()
@@ -132,7 +162,8 @@ class TestPaperClaim:
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    ax1 = offline_table(simulator.ax1(load=0.0))
+    ax1, ax1_throttle, ax1_brake = offline_fit(simulator.ax1(load=0.0))
     (GOLDEN / "ax1_offline.txt").write_text(serialize(ax1))
+    (GOLDEN / "ax1_nets.txt").write_text(nets_text(ax1_throttle, ax1_brake))
     (GOLDEN / "mkz_offline.txt").write_text(serialize(offline_table(simulator.mkz(load=0.0))))
     np.savetxt(GOLDEN / "ax1_online_acc.txt", ax1_loop(ax1, online=True).table.acc, fmt="%.17g")
