@@ -157,7 +157,7 @@ def update_table(state: OnlineCalibrator, feedback: OnlineFeedback, cfg: OnlineC
         return old
     step = (cfg.sigma * gain) / (1.0 + _cost_matrix(state.init_table, feedback, cfg))
     acc = _monotone_columns(old.acc - step)
-    return CalibrationTable._trusted(old.speed_grid, old.cmd_grid, acc)
+    return CalibrationTable._trusted(old, acc)
 
 
 def publish(state: OnlineCalibrator, new_table: CalibrationTable) -> None:

@@ -45,6 +45,17 @@ class NonFiniteFrame(ValueError):
     """An online frame carries a NaN or infinite number."""
 
 
+class ImplausibleFrame(ValueError):
+    """An online frame's measured acceleration is finite but beyond any vehicle's."""
+
+
+# |acc_meas| above this is no vehicle's acceleration but a corrupt IMU frame:
+# about 5 g, against peaks near 6 m/s^2 on both simulated presets, with room
+# for hard braking and sensor noise.  Such a frame, admitted, would step every
+# cell toward it and publish absurd (if finite and monotone) tables.
+ACC_MEAS_LIMIT = 50.0  # m/s^2
+
+
 class TimestampNotIncreasing(ValueError):
     """An online frame's timestamp repeats or precedes the previous frame's."""
 
@@ -496,14 +507,14 @@ class OnlineFeedback:
 class OnlinePreprocessor:
     """Stateful per-cycle gatekeeper turning raw frames into OnlineFeedback.
 
-    Pipeline order per cycle: finiteness and timestamp checks, mode/steering gate,
-    actuator-delay alignment (a FIFO of issued commands; one that matured
-    more than half a sample before the current frame is dropped), causal Butterworth
-    filtering of the IMU channel (``ButterworthFilter.__call__``, one sample
-    per cycle), ``command_consistency_gate`` over the history deques for the
-    +-window around the issue time (a window the history does not yet fill
-    admits nothing), and the speed/acceleration sign-consistency
-    check.
+    Pipeline order per cycle: finiteness, plausibility and timestamp
+    checks, mode/steering gate, actuator-delay alignment (a FIFO of issued
+    commands; one that matured more than half a sample before the current
+    frame is dropped), causal Butterworth filtering of the IMU channel
+    (``ButterworthFilter.__call__``, one sample per cycle),
+    ``command_consistency_gate`` over the history deques for the +-window
+    around the issue time (a window the history does not yet fill admits
+    nothing), and the speed/acceleration sign-consistency check.
     """
 
     def __init__(
@@ -555,14 +566,20 @@ class OnlinePreprocessor:
         ``cmd`` is the command issued this cycle, ``acc_expected`` the
         acceleration the table predicts for it, ``v_expected`` the desired
         speed right now, and ``acc_meas`` the raw IMU reading.  A frame with
-        a non-finite number raises NonFiniteFrame, and one whose ``t`` is not
-        later than the previous frame's raises TimestampNotIncreasing; both
-        leave the filter and the history as they were, so the next valid
-        frame carries on.  After a forward jump in ``t``, the commands whose
-        delay matured inside the jump are dropped unadmitted.
+        a non-finite number raises NonFiniteFrame, one whose ``acc_meas``
+        exceeds ``ACC_MEAS_LIMIT`` in magnitude raises ImplausibleFrame, and
+        one whose ``t`` is not later than the previous frame's raises
+        TimestampNotIncreasing; each leaves the filter and the history as
+        they were, so the next valid frame carries on.  After a forward jump
+        in ``t``, the commands whose delay matured inside the jump are
+        dropped unadmitted.
         """
         if not all(map(math.isfinite, (t, cmd, v, acc_meas, acc_expected, v_expected, theta))):
             raise NonFiniteFrame(f"frame at t={t!r} holds a non-finite value")
+        if abs(acc_meas) > ACC_MEAS_LIMIT:
+            raise ImplausibleFrame(
+                f"frame at t={t!r} measures {acc_meas!r} m/s^2, beyond {ACC_MEAS_LIMIT:g}"
+            )
         if self._t_hist and t <= self._t_hist[-1]:
             raise TimestampNotIncreasing(f"frame at t={t!r} does not follow t={self._t_hist[-1]!r}")
         acc_f = self._filter(acc_meas)

@@ -403,7 +403,7 @@ class RunResult:
     table: CalibrationTable  # final controller table (adapted when online)
     events: list  # OnlineSessionEvent per published update
     update_seconds: np.ndarray  # latency of update_table + publish per event
-    visited_cells: np.ndarray  # bool grid of cells with admitted feedback
+    visited_cells: np.ndarray  # bool grid of cells with admitted feedback, marked once after the run
 
 
 KP = 0.8  # command % per m/s of speed error
@@ -448,7 +448,11 @@ def run_closed_loop(
     )
 
     cmd_grid, speed_grid = table.cmd_grid, table.speed_grid
-    visited = np.zeros((len(cmd_grid), len(speed_grid)), dtype=bool)
+    # (cmd_ref, v_ref) of every marked feedback; their cells are found in one
+    # pass after the loop
+    marked_cmd = np.empty(n)
+    marked_v = np.empty(n)
+    marked = 0
     events: list[OnlineSessionEvent] = []
     latencies: list[float] = []
 
@@ -480,7 +484,7 @@ def run_closed_loop(
         acc_pred = lookup_acc(acc_table, cmd, v)
 
         s = plant.step(cmd)
-        acc_meas = s.acc + noise[k]
+        acc_meas = s.acc + noise.item(k)
         feedback = pre.push(
             t, cmd=cmd, v=s.v, acc_meas=acc_meas, acc_expected=acc_pred,
             v_expected=v_des, mode=MODE_AUTO,
@@ -494,9 +498,9 @@ def run_closed_loop(
         # a static run marks every admitted feedback, an online run the
         # feedback it published an update from
         if updated or (cal is None and feedback is not None):
-            ci = nearest_cell_index(cmd_grid, feedback.cmd_ref)
-            vi = nearest_cell_index(speed_grid, feedback.v_ref)
-            visited[ci, vi] = True
+            marked_cmd[marked] = feedback.cmd_ref
+            marked_v[marked] = feedback.v_ref
+            marked += 1
         if updated:
             latencies.append(elapsed)
             in_win = int(
@@ -536,6 +540,11 @@ def run_closed_loop(
         else:
             diverged_since = None
 
+    visited = np.zeros((len(cmd_grid), len(speed_grid)), dtype=bool)
+    visited[
+        nearest_cell_index(cmd_grid, marked_cmd[:marked]),
+        nearest_cell_index(speed_grid, marked_v[:marked]),
+    ] = True
     trace = RunTrace(
         t=t_col, v_des=vdes_col, v=v_col, station_des=sdes_col, station=s_col, cmd=cmd_col
     )

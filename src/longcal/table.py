@@ -12,11 +12,19 @@ off the table's columns once ``invert`` has checked that they are finite and
 monotone, and ``project_monotone`` repairs tables whose columns lost
 monotonicity (for example after an additive online update): every violating
 column at once, in one vectorised pool-adjacent-violators pass.
+
+Both reads run once per control cycle on scalars, so they do their work on
+plain Python floats, not in numpy calls: each table keeps list copies of
+its two grids, ``bisect_right`` finds the cell, and the cell values are
+read with ``acc.item``.  ``lookup_cmd`` inverts a column with the
+arithmetic of ``np.interp``, in its order, so both reads return the very
+floats the numpy forms would; a NaN query returns NaN.
 """
 
 from __future__ import annotations
 
 import io
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +88,12 @@ class CalibrationTable:
     Column monotonicity is *not* enforced at construction (a freshly updated
     table may be temporarily non-monotone; ``project_monotone`` restores it).
     ``invert`` refuses non-monotone tables.
+
+    Beside the three fields, a table holds each grid as a list of Python
+    floats, built once where the grids are validated, for the per-cycle
+    reads to bisect.  A successor built by ``_trusted`` shares its
+    predecessor's lists with its grids, so publishing an update copies
+    neither.
     """
 
     speed_grid: np.ndarray
@@ -108,6 +122,8 @@ class CalibrationTable:
         for name, arr in (("speed_grid", speed), ("cmd_grid", cmd), ("acc", acc)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_speed", speed.tolist())
+        object.__setattr__(self, "_cmd", cmd.tolist())
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -118,38 +134,47 @@ class CalibrationTable:
         return bool(np.all(np.diff(self.acc, axis=0) >= 0.0))
 
     @classmethod
-    def _trusted(cls, speed_grid, cmd_grid, acc: np.ndarray) -> "CalibrationTable":
+    def _trusted(cls, like: "CalibrationTable", acc: np.ndarray) -> "CalibrationTable":
         # construction without validation, for per-cycle update paths whose
-        # inputs are already validated tables; grids are shared, not copied
+        # input is an already validated table on ``like``'s grids; the grids
+        # and their lists are shared, not copied
         obj = object.__new__(cls)
         acc.setflags(write=False)
-        object.__setattr__(obj, "speed_grid", speed_grid)
-        object.__setattr__(obj, "cmd_grid", cmd_grid)
+        object.__setattr__(obj, "speed_grid", like.speed_grid)
+        object.__setattr__(obj, "cmd_grid", like.cmd_grid)
         object.__setattr__(obj, "acc", acc)
+        object.__setattr__(obj, "_speed", like._speed)
+        object.__setattr__(obj, "_cmd", like._cmd)
         return obj
 
 
-def _grid_weights(grid: np.ndarray, x: float) -> tuple[int, float]:
-    """Clamp x into the grid and return (left index, fractional weight)."""
+def _grid_weights(grid: list[float], x: float) -> tuple[int, float]:
+    """Clamp x into the grid and return (left index, fractional weight).
+
+    ``grid`` is a table's list copy of one axis.  ``bisect_right`` on it is
+    the index ``searchsorted(side="right")`` gives, NaN included: a NaN
+    ``x`` lands past the end, so it reads the last cell with a NaN weight.
+    """
     x = min(max(x, grid[0]), grid[-1])
-    i = min(int(grid.searchsorted(x, side="right")) - 1, len(grid) - 2)
-    return i, float((x - grid[i]) / (grid[i + 1] - grid[i]))
+    i = min(bisect_right(grid, x) - 1, len(grid) - 2)
+    return i, (x - grid[i]) / (grid[i + 1] - grid[i])
 
 
 def lookup_acc(table: CalibrationTable, cmd: float, v: float) -> float:
     """Bilinear interpolation of acceleration at (cmd, v).
 
     Queries outside the grid are clamped to its edge: commanding beyond the
-    table never extrapolates the pedal map.  Exact at grid points.
+    table never extrapolates the pedal map.  Exact at grid points.  A NaN
+    ``cmd`` or ``v`` returns NaN.
     """
-    ci, cw = _grid_weights(table.cmd_grid, cmd)
-    vi, vw = _grid_weights(table.speed_grid, v)
-    a = table.acc
+    ci, cw = _grid_weights(table._cmd, cmd)
+    vi, vw = _grid_weights(table._speed, v)
+    a = table.acc.item
     return float(
-        a[ci, vi] * (1.0 - cw) * (1.0 - vw)
-        + a[ci + 1, vi] * cw * (1.0 - vw)
-        + a[ci, vi + 1] * (1.0 - cw) * vw
-        + a[ci + 1, vi + 1] * cw * vw
+        a(ci, vi) * (1.0 - cw) * (1.0 - vw)
+        + a(ci + 1, vi) * cw * (1.0 - vw)
+        + a(ci, vi + 1) * (1.0 - cw) * vw
+        + a(ci + 1, vi + 1) * cw * vw
     )
 
 
@@ -174,17 +199,50 @@ def invert(table: CalibrationTable) -> CalibrationTable:
     return table
 
 
+def _column_cmd(acc: np.ndarray, j: int, cmd: list[float], x: float) -> float:
+    """``np.interp(x, acc[:, j], cmd)`` for a non-decreasing column and a number ``x``.
+
+    ``bisect_right`` over the column view finds the last row at or below
+    ``x``, the row ``np.interp``'s own search finds.  As there, a query
+    below or above the column is clamped to its end, an exact hit returns
+    that row's command (the upper end of a plateau), and between rows the
+    command is ``(y1 - y0) / (x1 - x0) * (x - x0) + y0``, retried from the
+    upper row when that is NaN (a span so wide its difference overflows).
+    """
+    i = bisect_right(acc[:, j], x) - 1
+    if i < 0:
+        return cmd[0]
+    if i == len(cmd) - 1:
+        return cmd[i]
+    x0 = acc.item(i, j)
+    if x0 == x:
+        return cmd[i]
+    x1 = acc.item(i + 1, j)
+    slope = (cmd[i + 1] - cmd[i]) / (x1 - x0)
+    y = slope * (x - x0) + cmd[i]
+    if y != y:
+        y = slope * (x - x1) + cmd[i + 1]
+    return y
+
+
 def lookup_cmd(table: CalibrationTable, v: float, acc: float) -> float:
     """Command that the table says produces ``acc`` at speed ``v``.
 
     Each neighbouring speed column is inverted by piecewise-linear
     interpolation (clamped to the column's acceleration range), then the two
-    per-column commands are blended linearly in speed.  ``table`` must have
-    passed ``invert``.
+    per-column commands are blended linearly in speed.  The inversion is a
+    bisection on plain floats with ``np.interp``'s arithmetic
+    (``_column_cmd``), so it returns what ``np.interp`` on the two columns
+    would.  A NaN ``acc`` or ``v`` returns NaN; a bisection alone would read
+    NaN as beyond the column and command full throttle.  ``table`` must
+    have passed ``invert``.
     """
-    j, w = _grid_weights(table.speed_grid, v)
-    lo = np.interp(acc, table.acc[:, j], table.cmd_grid)
-    hi = np.interp(acc, table.acc[:, j + 1], table.cmd_grid)
+    if acc != acc:
+        return float(acc)
+    j, w = _grid_weights(table._speed, v)
+    cmd = table._cmd
+    lo = _column_cmd(table.acc, j, cmd, acc)
+    hi = _column_cmd(table.acc, j + 1, cmd, acc)
     return float((1.0 - w) * lo + w * hi)
 
 

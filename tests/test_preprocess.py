@@ -14,6 +14,7 @@ from longcal.preprocess import (
     ButterworthFilter,
     DriveLog,
     GridBins,
+    ImplausibleFrame,
     InsufficientHistory,
     InvalidRate,
     NoMatch,
@@ -397,6 +398,11 @@ class TestOnlinePreprocessor:
             pytest.param({"cmd": float("nan")}, NonFiniteFrame, id="cmd"),
             pytest.param({"v": float("nan")}, NonFiniteFrame, id="v"),
             pytest.param({"t": float("nan")}, NonFiniteFrame, id="t"),
+            # finite but no vehicle's: admitted, each stepped every cell toward
+            # it and published absurd tables that passed ``invert``
+            pytest.param({"acc_meas": 1e308}, ImplausibleFrame, id="acc_meas-1e308"),
+            pytest.param({"acc_meas": 1e6}, ImplausibleFrame, id="acc_meas-1e6"),
+            pytest.param({"acc_meas": -1e6}, ImplausibleFrame, id="acc_meas-minus-1e6"),
             # frame 200 carrying frame 199's time, and a time one second back
             pytest.param({"t": 199 * 0.01}, TimestampNotIncreasing, id="t-repeated"),
             pytest.param({"t": 200 * 0.01 - 1.0}, TimestampNotIncreasing, id="t-back"),

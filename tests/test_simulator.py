@@ -13,7 +13,7 @@ import pytest
 
 from longcal import offline, preprocess, simulator
 from longcal.online import OnlineConfig, _cost_matrix
-from longcal.table import CalibrationTable, serialize
+from longcal.table import CalibrationTable, lookup_acc, lookup_cmd, serialize
 
 GOLDEN = Path(__file__).parent / "golden"
 LOG_S = 300.0  # drive log behind the golden offline tables
@@ -158,6 +158,26 @@ class TestPaperClaim:
         for e in online_run.events[:50]:
             fb = preprocess.OnlineFeedback(e.cmd_ref, e.v_ref, e.acc_ref, e.acc_k, v_k=0.0)
             assert e.updated_cells == int((_cost_matrix(ax1_table, fb, OnlineConfig()) == 0).sum())
+
+
+class TestControlCycle:
+    def test_visited_cells_are_the_events_cells(self, online_run):
+        # an online run marks the cell of each published update's feedback,
+        # all at once after the loop
+        table = online_run.table
+        expect = np.zeros(online_run.visited_cells.shape, dtype=bool)
+        expect[
+            preprocess.nearest_cell_index(table.cmd_grid, [e.cmd_ref for e in online_run.events]),
+            preprocess.nearest_cell_index(table.speed_grid, [e.v_ref for e in online_run.events]),
+        ] = True
+        assert np.array_equal(online_run.visited_cells, expect)
+
+    def test_cycle_runs_on_plain_floats(self, online_run):
+        # ``type(...) is float``, not ``isinstance``: np.float64 subclasses float
+        assert all(type(e.acc_k) is float for e in online_run.events)
+        e = online_run.events[-1]
+        assert type(lookup_cmd(online_run.table, e.v_ref, e.acc_k)) is float
+        assert type(lookup_acc(online_run.table, e.cmd_ref, e.v_ref)) is float
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Calibration table storage, interpolation, inversion, projection, text IO."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,6 +241,122 @@ class TestMonotoneColumnsProperties:
         p = project_monotone(CalibrationTable(np.arange(float(m)), np.arange(float(n)), acc))
         assert np.array_equal(p.acc, out)
         assert project_monotone(p) is p
+
+
+def _reference_grid_weights(grid: np.ndarray, x: float) -> tuple[int, float]:
+    x = min(max(x, grid[0]), grid[-1])
+    i = min(int(grid.searchsorted(x, side="right")) - 1, len(grid) - 2)
+    return i, float((x - grid[i]) / (grid[i + 1] - grid[i]))
+
+
+def _reference_lookup_acc(table: CalibrationTable, cmd: float, v: float) -> float:
+    """The numpy form of ``lookup_acc``: ``searchsorted`` weights, array indexing."""
+    ci, cw = _reference_grid_weights(table.cmd_grid, cmd)
+    vi, vw = _reference_grid_weights(table.speed_grid, v)
+    a = table.acc
+    return float(
+        a[ci, vi] * (1.0 - cw) * (1.0 - vw)
+        + a[ci + 1, vi] * cw * (1.0 - vw)
+        + a[ci, vi + 1] * (1.0 - cw) * vw
+        + a[ci + 1, vi + 1] * cw * vw
+    )
+
+
+def _reference_lookup_cmd(table: CalibrationTable, v: float, acc: float) -> float:
+    """The numpy form of ``lookup_cmd``: ``np.interp`` on both neighbouring columns.
+
+    A step so small that its slope overflows gives inf, and inf times a zero
+    weight NaN, as plain floats do: numpy's warning about it is silenced.
+    """
+    j, w = _reference_grid_weights(table.speed_grid, v)
+    lo = np.interp(acc, table.acc[:, j], table.cmd_grid)
+    hi = np.interp(acc, table.acc[:, j + 1], table.cmd_grid)
+    with np.errstate(invalid="ignore"):
+        return float((1.0 - w) * lo + w * hi)
+
+
+def _same(a: float, b: float) -> bool:
+    """Bit-equal floats, any NaN matching any NaN."""
+    return (math.isnan(a) and math.isnan(b)) or a.hex() == b.hex()
+
+
+def _probes(grid) -> list[float]:
+    """Every grid value, every midpoint, a value beyond each end, and NaN."""
+    grid = np.unique(grid)
+    span = max(1.0, float(grid[-1] - grid[0]))
+    return (
+        grid.tolist()
+        + (0.5 * (grid[1:] + grid[:-1])).tolist()
+        + [float(grid[0]) - span, float(grid[-1]) + span, math.nan]
+    )
+
+
+@st.composite
+def monotone_tables(draw):
+    """Tables that pass ``invert``, with plateaus, ties across columns and tiny steps."""
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(2, 5))
+    gap = st.floats(0.05, 40.0)
+    cmd = np.cumsum([draw(st.floats(-100.0, 0.0))] + draw(st.lists(gap, min_size=n - 1, max_size=n - 1)))
+    speed = np.cumsum([draw(st.floats(0.0, 2.0))] + draw(st.lists(gap, min_size=m - 1, max_size=m - 1)))
+    step = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-12, 0.25, 1.0]), st.floats(0.0, 3.0))
+    shared = [draw(step) for _ in range(n - 1)]
+    cols = []
+    for _ in range(m):
+        # a column either repeats the shared steps (ties with its neighbours) or draws its own
+        steps = shared if draw(st.booleans()) else [draw(step) for _ in range(n - 1)]
+        cols.append(np.cumsum([draw(st.floats(-6.0, 0.0))] + steps))
+    return CalibrationTable(speed, cmd, np.column_stack(cols))
+
+
+class TestReadsEqualReference:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(monotone_tables())
+    def test_lookup_cmd_bit_equal(self, table):
+        # exact cell values, values inside and beyond each column, NaN acc,
+        # at speeds on, between and beyond the grid and NaN
+        invert(table)
+        for v in _probes(table.speed_grid):
+            for acc in _probes(table.acc):
+                got = lookup_cmd(table, v, acc)
+                assert type(got) is float
+                assert _same(got, _reference_lookup_cmd(table, v, acc)), (v, acc)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(monotone_tables())
+    def test_lookup_acc_bit_equal(self, table):
+        for v in _probes(table.speed_grid):
+            for cmd in _probes(table.cmd_grid):
+                got = lookup_acc(table, cmd, v)
+                assert type(got) is float
+                assert _same(got, _reference_lookup_acc(table, cmd, v)), (cmd, v)
+
+    @pytest.mark.parametrize(
+        "column, acc, expect",
+        [
+            # x - x0 overflows and the slope is 0: np.interp retries from the
+            # upper row, and so must the bisection
+            pytest.param([-1e308, 1.7e308], 1e308, 100.0, id="overflowing-span"),
+            # the slope overflows to inf, so only the exact-hit rule gives the
+            # lower row's command, not inf * 0
+            pytest.param([0.0, 5e-324], 0.0, -100.0, id="subnormal-step"),
+        ],
+    )
+    def test_degenerate_span_matches_reference(self, column, acc, expect):
+        t = CalibrationTable(np.array([0.0, 1.0]), np.array([-100.0, 100.0]), np.array([column, column]).T)
+        assert lookup_cmd(t, 0.0, acc) == _reference_lookup_cmd(t, 0.0, acc) == expect
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(monotone_tables(), st.floats(0.0, 1.0))
+    def test_round_trip_inside_column(self, table, frac):
+        # at a grid speed, commanding what lookup_cmd gives for any acceleration
+        # inside the column's range reads that acceleration back
+        for j, v in enumerate(table.speed_grid.tolist()):
+            col = table.acc[:, j]
+            targets = np.unique(col).tolist() + [float(col[0] + frac * (col[-1] - col[0]))]
+            for a in targets:
+                back = lookup_acc(table, lookup_cmd(table, v, a), v)
+                assert abs(back - a) <= 1e-9 * max(1.0, abs(a)), (v, a, back)
 
 
 class TestSerialization:
