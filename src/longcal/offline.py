@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -361,6 +360,8 @@ def cross_validate(
     Fold assignment shuffles once with the given seed; deadband samples are
     excluded (neither sign's model owns them).  Folds are independent, so
     ``workers > 1`` fans them out over processes with unchanged results.
+    The process pool is imported only then: ``workers=1`` loads neither
+    ``concurrent.futures`` nor ``multiprocessing``.
     """
     arr = as_sample_array(samples)
     arr = arr[np.abs(arr[:, 0]) > DEADBAND_CMD]
@@ -376,6 +377,8 @@ def cross_validate(
         jobs.append((train, test, kind, hyper, seed + 1000 * (k + 1)))
 
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             metrics = list(pool.map(_fold_metrics, jobs))
     else:

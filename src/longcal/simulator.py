@@ -10,6 +10,7 @@ error under configurable load.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -27,6 +28,10 @@ class Diverged(RuntimeError):
 
 class EmptyTrace(ValueError):
     """Metrics requested over an empty trace."""
+
+
+class NonFiniteCommand(ValueError):
+    """A control command that is NaN, refused before it reaches the plant."""
 
 
 def _power_law_map(f_max: float, exponent: float = 1.2, step: float = 5.0):
@@ -215,13 +220,27 @@ def generate_drive_log(
     extremes now and then, so most table cells collect samples.  A few
     dwells steer (exercising the downstream steering gate); IMU noise is
     added per the config.  Deterministic for a given seed.
+
+    The plant steps frame by frame, but the log is written a dwell at a
+    time: one slice write per column, and the dwell's steering noise in one
+    draw of as many values as the dwell took frames, after its last frame.
+    That draw consumes the generator stream exactly as one scalar draw per
+    frame does.  Raises ValueError unless ``duration`` is finite and gives
+    at least one frame, before any draw.
     """
+    frames = duration * config.sample_rate
+    n = int(round(frames)) if math.isfinite(frames) else 0
+    if n < 1:
+        raise ValueError(
+            f"duration must be finite and give at least one frame at "
+            f"{config.sample_rate} Hz, got {duration!r}"
+        )
     rng = np.random.default_rng(seed)
     plant = Plant(config)
+    step = plant.step
     dt = plant.dt
-    n = int(round(duration * config.sample_rate))
+    v_max = config.v_max
 
-    t_col = np.empty(n)
     cmd_col = np.empty(n)
     v_col = np.empty(n)
     acc_col = np.empty(n)
@@ -229,11 +248,8 @@ def generate_drive_log(
     noise = rng.normal(0.0, config.noise_std, n) if config.noise_std > 0 else np.zeros(n)
 
     k = 0
-    cmd = 0.0
-    theta_target = 0.0
     while k < n:
-        v = plant.state.v
-        frac = v / config.v_max
+        frac = plant.state.v / v_max
         # phase choice leans on the current speed so the envelope gets swept
         r = rng.random()
         if frac < 0.07:
@@ -252,22 +268,24 @@ def generate_drive_log(
             cmd = rng.uniform(-4.0, 4.0)
             dwell = rng.uniform(0.4, 1.2)
         theta_target = rng.uniform(10.0, 30.0) * rng.choice([-1.0, 1.0]) if rng.random() < 0.04 else 0.0
-        steps = max(1, int(round(dwell / dt)))
-        for _ in range(steps):
-            if k >= n:
-                break
-            s = plant.step(cmd)
-            t_col[k] = k * dt
-            cmd_col[k] = cmd
-            v_col[k] = s.v
-            acc_col[k] = s.acc + noise[k]
-            theta_col[k] = theta_target + rng.normal(0.0, 0.5)
-            k += 1
-            if cmd > 0.0 and s.v > config.v_max:
+        vs = []
+        accs = []
+        for _ in range(min(max(1, int(round(dwell / dt))), n - k)):
+            s = step(cmd)
+            vs.append(s.v)
+            accs.append(s.acc)
+            if cmd > 0.0 and s.v > v_max:
                 break  # a real driver respects the vehicle's speed limit
+        end = k + len(vs)
+        cmd_col[k:end] = cmd
+        v_col[k:end] = vs
+        acc_col[k:end] = accs
+        theta_col[k:end] = theta_target + rng.normal(0.0, 0.5, end - k)
+        k = end
 
+    acc_col += noise
     mode = np.array([MODE_MANUAL] * n, dtype=object)
-    return DriveLog(t_col, cmd_col, v_col, acc_col, theta_col, mode)
+    return DriveLog(np.arange(n) * dt, cmd_col, v_col, acc_col, theta_col, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +442,9 @@ def run_closed_loop(
     With ``online`` set (an OnlineConfig, or True for defaults) the table
     adapts every cycle from gated feedback; otherwise it stays frozen.  The
     controller always reads the latest published snapshot.  Raises Diverged
-    when the speed error exceeds ``diverge_limit`` for a sustained second.
+    when the speed error exceeds ``diverge_limit`` for a sustained second,
+    and NonFiniteCommand, before the plant steps, when the clamped command
+    is NaN (an infinite one clamps to ±100).
     """
     import time as _time
 
@@ -481,6 +501,9 @@ def run_closed_loop(
             cmd = 100.0
         elif cmd < -100.0:
             cmd = -100.0
+        elif cmd != cmd:
+            # NaN fails both clamp comparisons; only unclamped cycles pay this one
+            raise NonFiniteCommand(f"command is NaN at t={t:.2f}s (feedforward {ff!r})")
         acc_pred = lookup_acc(acc_table, cmd, v)
 
         s = plant.step(cmd)

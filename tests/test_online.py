@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression
 
 from longcal.online import (
@@ -18,7 +20,7 @@ from longcal.online import (
 )
 from longcal.preprocess import OnlineFeedback
 from longcal.simulator import ax1, run_closed_loop, trapezoid_profile
-from longcal.table import CalibrationTable, NonFiniteTable, lookup_acc
+from longcal.table import CalibrationTable, NonFiniteTable, invert, lookup_acc
 
 
 def grid_table(n_cmd=41, n_speed=16, v_max=3.0, slope=0.03):
@@ -278,6 +280,48 @@ class TestUpdateTable:
             np.testing.assert_allclose(cal.table.acc, ref, rtol=0.0, atol=1e-12)
         assert repaired > len(feedbacks)
         assert np.array_equal(cal.table.acc, run.table.acc)
+
+
+@st.composite
+def update_cases(draw):
+    """A monotone table, one feedback point around its grid, and a learning ratio.
+
+    A non-zero gain stays at 0.01 or more, so the few ulps of rounding in the
+    step and the repair stay far inside 1e-9 of ``sigma * |gain|``.
+    """
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(2, 6))
+    cmd = np.cumsum([draw(st.floats(-100.0, 0.0))] + draw(st.lists(st.floats(0.5, 40.0), min_size=n - 1, max_size=n - 1)))
+    speed = np.cumsum([draw(st.floats(0.0, 1.0))] + draw(st.lists(st.floats(0.05, 3.0), min_size=m - 1, max_size=m - 1)))
+    step = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+    cols = [np.cumsum([draw(st.floats(-6.0, 0.0))] + [draw(step) for _ in range(n - 1)]) for _ in range(m)]
+    table = CalibrationTable(speed, cmd, np.column_stack(cols))
+    acc_ref = draw(st.floats(-8.0, 8.0))
+    gain = draw(st.one_of(st.just(0.0), st.floats(0.01, 8.0), st.floats(-8.0, -0.01)))
+    feedback = fb(
+        cmd_ref=draw(st.floats(cmd[0] - 10.0, cmd[-1] + 10.0)),
+        v_ref=draw(st.floats(speed[0], speed[-1] + 1.0)),
+        acc_ref=acc_ref,
+        acc_k=acc_ref - gain,
+    )
+    cfg = OnlineConfig(sigma=draw(st.sampled_from([0.05, 0.3, 1.0])), iota=draw(st.sampled_from([0.2, 1.0, 5.0])))
+    return table, feedback, cfg
+
+
+class TestUpdateProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(update_cases())
+    def test_one_update_is_finite_invertible_and_bounded(self, case):
+        # isotonic regression does not expand sup-norm distances and leaves a
+        # monotone column as it is, so the repair keeps every cell within the
+        # largest step, sigma * |gain|
+        table, feedback, cfg = case
+        state = OnlineCalibrator(table, cfg)
+        new = update_table(state, feedback, cfg)
+        assert np.all(np.isfinite(new.acc))
+        assert invert(new) is new
+        gain = compute_gain(feedback.acc_ref, feedback.acc_k)
+        assert np.abs(new.acc - table.acc).max() <= cfg.sigma * abs(gain) * (1.0 + 1e-9)
 
 
 class TestPublish:

@@ -6,6 +6,7 @@ with ``PYTHONPATH=src python tests/test_simulator.py`` only when an output
 is meant to change, and say why in the change.
 """
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,10 @@ GOLDEN = Path(__file__).parent / "golden"
 LOG_S = 300.0  # drive log behind the golden offline tables
 ONLINE_S = 60.0  # closed-loop run behind the online golden and the claim
 ONLINE_LOAD = 150.0  # kg added to the ax1 in that run
+# short drive logs kept whole: both end inside a dwell, and the ax1 one
+# overshoots v_max, so the truncated dwell and the speed-limit break are pinned
+SHORT_LOG_S = 90.37
+LOG_COLUMNS = ("t", "cmd", "v", "acc", "theta")
 
 
 def offline_fit(config, seed=0):
@@ -51,6 +56,27 @@ def nets_text(throttle, brake) -> str:
             lines.extend(" ".join(x.hex() for x in row) for row in w.tolist())
             lines.append(f"{name} b{i} " + " ".join(x.hex() for x in b.tolist()))
     return "\n".join(lines) + "\n"
+
+
+def log_text(log) -> str:
+    """Every frame of a drive log, the float columns losslessly as ``float.hex``."""
+    lines = [" ".join(LOG_COLUMNS + ("mode",))]
+    cols = [getattr(log, name).tolist() for name in LOG_COLUMNS]
+    for *row, mode in zip(*cols, log.mode.tolist()):
+        lines.append(" ".join(x.hex() for x in row) + " " + mode)
+    return "\n".join(lines) + "\n"
+
+
+def log_digests(preset: str) -> str:
+    """sha256 of each column of the 1200 s seed-0 log of ``preset``, one line per column."""
+    log = simulator.generate_drive_log(simulator.PRESETS[preset](load=0.0), 1200.0, seed=0)
+    data = {name: getattr(log, name).astype("<f8").tobytes() for name in LOG_COLUMNS}
+    data["mode"] = "\n".join(log.mode.tolist()).encode()
+    return "".join(f"{preset} {name} {hashlib.sha256(b).hexdigest()}\n" for name, b in data.items())
+
+
+def short_log(preset: str):
+    return simulator.generate_drive_log(simulator.PRESETS[preset](load=0.0), SHORT_LOG_S, seed=0)
 
 
 def ax1_loop(table, online, duration=ONLINE_S, seed=0):
@@ -103,6 +129,27 @@ class TestGoldens:
         assert np.max(np.abs(online_run.table.acc - golden)) <= 1e-9
 
 
+class TestDriveLogGoldens:
+    @pytest.mark.parametrize("preset", sorted(simulator.PRESETS))
+    def test_short_log_bit_exact(self, preset):
+        # line by line: a failed comparison of the whole text would diff a megabyte
+        got = log_text(short_log(preset)).splitlines()
+        want = (GOLDEN / f"drive_log_{preset}.txt").read_text().splitlines()
+        assert len(got) == len(want)
+        first = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+        assert first is None, f"frame {first - 1} differs: {got[first]!r} != {want[first]!r}"
+
+    def test_short_ax1_log_passes_v_max(self):
+        config = simulator.ax1(load=0.0)
+        log = short_log("ax1")
+        assert log.v.max() > config.v_max
+
+    @pytest.mark.parametrize("preset", sorted(simulator.PRESETS))
+    def test_full_log_column_digests(self, preset):
+        golden = (GOLDEN / "drive_log_sha256.txt").read_text().splitlines(keepends=True)
+        assert log_digests(preset) == "".join(line for line in golden if line.startswith(preset + " "))
+
+
 class TestDeterminism:
     def test_drive_log_repeats_per_seed(self):
         config = simulator.ax1(load=0.0)
@@ -119,6 +166,46 @@ class TestDeterminism:
         assert np.array_equal(a.trace.cmd, b.trace.cmd)
         assert np.array_equal(a.table.acc, b.table.acc)
         assert [e.revision for e in a.events] == [e.revision for e in b.events]
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf"), -5.0, 0.0, 0.004])
+    def test_drive_log_refuses_duration_without_frames(self, duration, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a generator was made before the duration was checked")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match="duration"):
+            simulator.generate_drive_log(simulator.ax1(load=0.0), duration, seed=0)
+
+    def test_drive_log_of_one_frame(self):
+        log = simulator.generate_drive_log(simulator.ax1(load=0.0), 0.01, seed=0)
+        assert len(log) == 1 and log.t[0] == 0.0
+
+    def test_nan_command_never_reaches_the_plant(self, monkeypatch):
+        # a NaN feedforward fails both clamp comparisons; the loop must refuse it
+        config = simulator.ax1(load=0.0)
+        real_lookup = simulator.lookup_cmd
+        calls = []
+
+        def lookup(table, v, acc):
+            calls.append(None)
+            return float("nan") if len(calls) == 50 else real_lookup(table, v, acc)
+
+        stepped = []
+        real_step = simulator.Plant.step
+
+        def step(plant, cmd):
+            stepped.append(cmd)
+            return real_step(plant, cmd)
+
+        monkeypatch.setattr(simulator, "lookup_cmd", lookup)
+        monkeypatch.setattr(simulator.Plant, "step", step)
+        profile = simulator.trapezoid_profile(config.v_max, 5.0)
+        with pytest.raises(simulator.NonFiniteCommand, match="NaN"):
+            simulator.run_closed_loop(config, config.true_table(), profile)
+        assert len(stepped) == 49
+        assert np.all(np.isfinite(stepped))
 
 
 class TestPlant:
@@ -187,3 +274,6 @@ if __name__ == "__main__":
     (GOLDEN / "ax1_nets.txt").write_text(nets_text(ax1_throttle, ax1_brake))
     (GOLDEN / "mkz_offline.txt").write_text(serialize(offline_table(simulator.mkz(load=0.0))))
     np.savetxt(GOLDEN / "ax1_online_acc.txt", ax1_loop(ax1, online=True).table.acc, fmt="%.17g")
+    for preset in sorted(simulator.PRESETS):
+        (GOLDEN / f"drive_log_{preset}.txt").write_text(log_text(short_log(preset)))
+    (GOLDEN / "drive_log_sha256.txt").write_text("".join(log_digests(p) for p in sorted(simulator.PRESETS)))

@@ -373,6 +373,22 @@ class TestSerialization:
         assert np.array_equal(r.speed_grid, q.speed_grid)
         assert np.array_equal(r.cmd_grid, q.cmd_grid)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(monotone_tables())
+    def test_round_trip_property(self, table):
+        # one pass rounds every number to 9 significant digits, within half a
+        # unit of the ninth digit; the rounded table reads back as itself
+        q = deserialize(serialize(table))
+        for got, want in ((q.speed_grid, table.speed_grid), (q.cmd_grid, table.cmd_grid), (q.acc, table.acc)):
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 5e-9 * np.abs(want) * (1.0 + 1e-6))
+        assert serialize(q) == serialize(table)
+        assert invert(q) is q
+        r = deserialize(serialize(q))
+        assert np.array_equal(r.speed_grid, q.speed_grid)
+        assert np.array_equal(r.cmd_grid, q.cmd_grid)
+        assert np.array_equal(r.acc, q.acc)
+
     def test_comments_and_blanks_ignored(self):
         t = make_table()
         text = "# a comment\n\n" + serialize(t).replace("cmd_grid", "# inline\ncmd_grid")
