@@ -32,21 +32,12 @@ class Degenerate(UserWarning):
     """All regression targets identical; the fit collapses to a constant."""
 
 
-@dataclass(frozen=True)
-class RegressionSample:
-    """One training triple: signed command %, speed m/s, target acceleration."""
-
-    cmd: float
-    v: float
-    acc: float
-
-
 def as_sample_array(samples) -> np.ndarray:
-    """Coerce RegressionSample lists or (n, 3) arrays to a float (n, 3) array."""
-    if isinstance(samples, np.ndarray):
-        arr = np.asarray(samples, dtype=float)
-    else:
-        arr = np.array([[s.cmd, s.v, s.acc] for s in samples], dtype=float)
+    """Coerce ``(cmd, v, acc)`` rows, an (n, 3) array or nested sequence, to a float array.
+
+    Raises ValueError on another shape or on a non-finite value.
+    """
+    arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("samples must be (n, 3): cmd, v, acc")
     if not np.all(np.isfinite(arr)):
@@ -103,15 +94,18 @@ class MlpModel:
     first_epoch_mse: float = float("nan")
     final_mse: float = float("nan")
 
-    def predict(self, cmd, v):
-        scalar = np.isscalar(cmd) and np.isscalar(v)
+    def predict(self, cmd, v) -> np.ndarray:
+        """Acceleration at ``(cmd, v)``, in raw units.
+
+        ``cmd`` and ``v`` are arrays that broadcast together; the result is a
+        float array of their broadcast shape.
+        """
         cmd, v = np.broadcast_arrays(np.asarray(cmd, dtype=float), np.asarray(v, dtype=float))
         x = (np.column_stack([cmd.ravel(), v.ravel()]) - self.x_mean) / self.x_std
         h = _sigmoid(x @ self.weights[0] + self.biases[0])
         h = _sigmoid(h @ self.weights[1] + self.biases[1])
         out = (h @ self.weights[2] + self.biases[2])[:, 0]
-        out = (out * self.y_std + self.y_mean).reshape(cmd.shape)
-        return out.item() if scalar else out
+        return (out * self.y_std + self.y_mean).reshape(cmd.shape)
 
 
 def train_mlp(samples, hyper: MlpHyper | None = None) -> MlpModel:
@@ -262,13 +256,14 @@ class LinearModel:
 
     w: np.ndarray
 
-    def predict(self, cmd, v):
-        scalar = np.isscalar(cmd) and np.isscalar(v)
-        cmd = np.atleast_1d(np.asarray(cmd, dtype=float))
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        cmd, v = np.broadcast_arrays(cmd, v)
-        out = self.w[0] + self.w[1] * cmd + self.w[2] * v
-        return out.item(0) if scalar else out
+    def predict(self, cmd, v) -> np.ndarray:
+        """Acceleration at ``(cmd, v)``, in raw units.
+
+        ``cmd`` and ``v`` are arrays that broadcast together; the result is a
+        float array of their broadcast shape.
+        """
+        cmd, v = np.broadcast_arrays(np.asarray(cmd, dtype=float), np.asarray(v, dtype=float))
+        return self.w[0] + self.w[1] * cmd + self.w[2] * v
 
 
 def train_linear(samples) -> LinearModel:
@@ -411,60 +406,3 @@ def build_table(throttle_model, brake_model, speed_grid, cmd_grid) -> Calibratio
             )
     return project_monotone(CalibrationTable(speed_grid, cmd_grid, acc))
 
-
-# ---------------------------------------------------------------------------
-# model text round-trip
-# ---------------------------------------------------------------------------
-
-def save_model(model) -> str:
-    """Serialise a model losslessly as text (17 significant digits)."""
-    fmt = "%.17g"
-    lines = []
-    if isinstance(model, LinearModel):
-        lines.append("linear")
-        lines.append("w: " + " ".join(fmt % x for x in model.w))
-        return "\n".join(lines) + "\n"
-    lines.append("mlp")
-    lines.append("x_mean: " + " ".join(fmt % x for x in model.x_mean))
-    lines.append("x_std: " + " ".join(fmt % x for x in model.x_std))
-    lines.append("y_mean: " + fmt % model.y_mean)
-    lines.append("y_std: " + fmt % model.y_std)
-    for w, b in zip(model.weights, model.biases):
-        lines.append(f"layer {w.shape[0]} {w.shape[1]}")
-        for row in w:
-            lines.append(" ".join(fmt % x for x in row))
-        lines.append("bias: " + " ".join(fmt % x for x in b))
-    return "\n".join(lines) + "\n"
-
-
-def load_model(text: str):
-    """Inverse of ``save_model``."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines.pop(0).strip()
-    if head == "linear":
-        return LinearModel(w=np.array([float(x) for x in lines[0].split(":", 1)[1].split()]))
-    if head != "mlp":
-        raise ValueError(f"unknown model header {head!r}")
-
-    def take_vector(prefix):
-        line = lines.pop(0)
-        if not line.startswith(prefix):
-            raise ValueError(f"expected {prefix!r}, got {line!r}")
-        return np.array([float(x) for x in line.split(":", 1)[1].split()])
-
-    x_mean = take_vector("x_mean:")
-    x_std = take_vector("x_std:")
-    y_mean = float(take_vector("y_mean:")[0])
-    y_std = float(take_vector("y_std:")[0])
-    weights, biases = [], []
-    while lines:
-        head = lines.pop(0).split()
-        if head[0] != "layer":
-            raise ValueError(f"expected layer header, got {head!r}")
-        rows, cols = int(head[1]), int(head[2])
-        w = np.array([[float(x) for x in lines.pop(0).split()] for _ in range(rows)])
-        if w.shape != (rows, cols):
-            raise ValueError("layer shape mismatch")
-        weights.append(w)
-        biases.append(take_vector("bias:"))
-    return MlpModel(weights, biases, x_mean, x_std, y_mean, y_std)

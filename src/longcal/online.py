@@ -30,7 +30,6 @@ __all__ = [
     "OnlineCalibrator",
     "converge_check",
     "compute_gain",
-    "cell_cost",
     "update_table",
     "publish",
 ]
@@ -94,36 +93,23 @@ def compute_gain(acc_ref: float, acc_k: float) -> float:
     return acc_ref - acc_k
 
 
-def cell_cost(
-    init_table: CalibrationTable, i: int, j: int, feedback: OnlineFeedback, cfg: OnlineConfig
-) -> float:
-    """Damping cost of cell (i, j): distance decay times similarity.
-
-    Inside the window (command offset within delta_cmd and speed offset
-    within delta_v) the distance term collapses to zero, so the cell takes
-    the full step regardless of similarity.  Far cells pay a polynomial
-    distance cost scaled by how closely the initial table already matches
-    the measured acceleration: agreement with the pristine table resists
-    change.  The window requires both offsets small; widening it to either
-    offset lets every feedback drag whole rows and columns of unrelated
-    cells at full strength, which destabilises the loop.
-    """
-    d_cmd = feedback.cmd_ref - float(init_table.cmd_grid[i])
-    d_v = feedback.v_ref - float(init_table.speed_grid[j])
-    if abs(d_cmd) <= cfg.delta_cmd and abs(d_v) <= cfg.delta_v:
-        distance = 0.0
-    else:
-        distance = cfg.alpha * d_cmd**cfg.m_cmd + cfg.beta * d_v**cfg.m_v + cfg.xi
-    similarity = cfg.epsilon * math.exp(
-        -cfg.iota * abs(float(init_table.acc[i, j]) - feedback.acc_k)
-    )
-    return distance * similarity
-
-
 def _cost_matrix(
     init_table: CalibrationTable, feedback: OnlineFeedback, cfg: OnlineConfig
 ) -> np.ndarray:
-    """Vectorised ``cell_cost`` over the whole grid."""
+    """Damping cost of every cell: distance decay times similarity.
+
+    The offsets ``d_cmd`` and ``d_v`` run from each grid point to the
+    feedback point ``(cmd_ref, v_ref)``.  Inside the window (``|d_cmd|``
+    within delta_cmd and ``|d_v|`` within delta_v) the distance term
+    collapses to zero, so the cell takes the full step regardless of
+    similarity.  Far cells pay a polynomial distance cost,
+    ``alpha * d_cmd**m_cmd + beta * d_v**m_v + xi``, scaled by the
+    similarity ``epsilon * exp(-iota * |init acc - acc_k|)``: the closer the
+    initial table already matches the measured acceleration, the more a far
+    cell resists change.  The window requires both offsets small; widening
+    it to either offset lets every feedback drag whole rows and columns of
+    unrelated cells at full strength, which destabilises the loop.
+    """
     d_cmd = feedback.cmd_ref - init_table.cmd_grid
     d_v = feedback.v_ref - init_table.speed_grid
     in_window = (np.abs(d_cmd)[:, None] <= cfg.delta_cmd) & (np.abs(d_v)[None, :] <= cfg.delta_v)

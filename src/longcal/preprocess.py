@@ -33,10 +33,6 @@ class InvalidRate(ValueError):
     """Sample rate too low for the filter cutoff."""
 
 
-class NoMatch(ValueError):
-    """No usable counterpart frame when aligning two streams."""
-
-
 class InsufficientHistory(ValueError):
     """Command history does not cover the consistency window."""
 
@@ -46,13 +42,14 @@ class NonFiniteFrame(ValueError):
 
 
 class ImplausibleFrame(ValueError):
-    """An online frame's measured acceleration is finite but beyond any vehicle's."""
+    """An online frame's measured or expected acceleration is finite but beyond any vehicle's."""
 
 
-# |acc_meas| above this is no vehicle's acceleration but a corrupt IMU frame:
-# about 5 g, against peaks near 6 m/s^2 on both simulated presets, with room
-# for hard braking and sensor noise.  Such a frame, admitted, would step every
-# cell toward it and publish absurd (if finite and monotone) tables.
+# |acc_meas| or |acc_expected| above this is no vehicle's acceleration but a
+# corrupt frame: about 5 g, against peaks near 6 m/s^2 on both simulated
+# presets, with room for hard braking and sensor noise.  Such a frame,
+# admitted, would step every cell by it through the gain and publish absurd
+# (if finite and monotone) tables.
 ACC_MEAS_LIMIT = 50.0  # m/s^2
 
 
@@ -180,12 +177,6 @@ def _outlier_mask(values: np.ndarray) -> np.ndarray:
     return np.abs(values - values.mean()) / std <= 1.0
 
 
-def remove_outliers(cell_values) -> np.ndarray:
-    """Drop cell samples whose z-score exceeds one (computed once, not iterated)."""
-    values = np.asarray(cell_values, dtype=float)
-    return values[_outlier_mask(values)]
-
-
 def nearest_cell_index(grid: np.ndarray, x) -> np.ndarray:
     """Index of the nearest grid value, clamped to the grid."""
     mids = 0.5 * (grid[1:] + grid[:-1])
@@ -203,10 +194,6 @@ class GridBins:
     cmd_grid: np.ndarray
     speed_grid: np.ndarray
     cells: dict = field(default_factory=dict)
-
-    def cell_accs(self, i: int, j: int) -> np.ndarray:
-        rows = self.cells.get((i, j))
-        return rows[:, 2] if rows is not None else np.empty(0)
 
     def counts(self) -> np.ndarray:
         out = np.zeros((len(self.cmd_grid), len(self.speed_grid)), dtype=int)
@@ -335,39 +322,6 @@ def offline_pipeline(
 # ---------------------------------------------------------------------------
 # online feedback preparation
 # ---------------------------------------------------------------------------
-
-def align_delay(t_cmd, t_imu, delay: float = 0.2, max_mismatch: float | None = None):
-    """Pair command frames with the IMU frame nearest ``t + delay``.
-
-    Returns (command indices, imu indices).  Command frames whose shifted
-    time falls past the end of the IMU stream produce no pair (the final
-    ``delay`` seconds of a log are unusable); interior frames whose nearest
-    neighbour is further than ``max_mismatch`` (default: half the median IMU
-    period) raise NoMatch, since that means a hole in the log.
-    """
-    t_cmd = np.asarray(t_cmd, dtype=float)
-    t_imu = np.asarray(t_imu, dtype=float)
-    if delay < 0:
-        raise ValueError("delay must be >= 0")
-    if len(t_imu) < 2:
-        raise NoMatch("imu stream too short to align")
-    if max_mismatch is None:
-        max_mismatch = 0.5 * float(np.median(np.diff(t_imu)))
-
-    target = t_cmd + delay
-    in_range = target <= t_imu[-1] + 1e-12
-    cmd_idx = np.flatnonzero(in_range)
-    pos = np.searchsorted(t_imu, target[cmd_idx])
-    pos = np.clip(pos, 1, len(t_imu) - 1)
-    left = np.abs(t_imu[pos - 1] - target[cmd_idx])
-    right = np.abs(t_imu[pos] - target[cmd_idx])
-    imu_idx = np.where(left <= right, pos - 1, pos)
-    mism = np.abs(t_imu[imu_idx] - target[cmd_idx])
-    if np.any(mism > max_mismatch + 1e-12):
-        k = int(cmd_idx[np.argmax(mism)])
-        raise NoMatch(f"command frame at t={t_cmd[k]:g}s has no imu frame within {max_mismatch:g}s")
-    return cmd_idx, imu_idx
-
 
 def _butter_lowpass(order: int, cutoff_hz: float, sample_rate: float):
     """Digital Butterworth low-pass: ``(b, a, zi, dc_delay)``.
@@ -566,11 +520,11 @@ class OnlinePreprocessor:
         ``cmd`` is the command issued this cycle, ``acc_expected`` the
         acceleration the table predicts for it, ``v_expected`` the desired
         speed right now, and ``acc_meas`` the raw IMU reading.  A frame with
-        a non-finite number raises NonFiniteFrame, one whose ``acc_meas``
-        exceeds ``ACC_MEAS_LIMIT`` in magnitude raises ImplausibleFrame, and
-        one whose ``t`` is not later than the previous frame's raises
-        TimestampNotIncreasing; each leaves the filter and the history as
-        they were, so the next valid frame carries on.  After a forward jump
+        a non-finite number raises NonFiniteFrame, one whose ``acc_meas`` or
+        ``acc_expected`` exceeds ``ACC_MEAS_LIMIT`` in magnitude raises
+        ImplausibleFrame, and one whose ``t`` is not later than the previous
+        frame's raises TimestampNotIncreasing; each leaves the filter and the
+        history as they were, so the next valid frame carries on.  After a forward jump
         in ``t``, the commands whose delay matured inside the jump are
         dropped unadmitted.
         """
@@ -579,6 +533,10 @@ class OnlinePreprocessor:
         if abs(acc_meas) > ACC_MEAS_LIMIT:
             raise ImplausibleFrame(
                 f"frame at t={t!r} measures {acc_meas!r} m/s^2, beyond {ACC_MEAS_LIMIT:g}"
+            )
+        if abs(acc_expected) > ACC_MEAS_LIMIT:
+            raise ImplausibleFrame(
+                f"frame at t={t!r} expects {acc_expected!r} m/s^2, beyond {ACC_MEAS_LIMIT:g}"
             )
         if self._t_hist and t <= self._t_hist[-1]:
             raise TimestampNotIncreasing(f"frame at t={t!r} does not follow t={self._t_hist[-1]!r}")

@@ -322,17 +322,14 @@ class SpeedProfile:
         return vals[lo] + slopes[lo] * (t - pts[lo]), slopes[lo]
 
 
-def trapezoid_profile(
-    v_max: float, duration: float, accel: float | None = None, seed: int | None = None
-) -> SpeedProfile:
+def trapezoid_profile(v_max: float, duration: float) -> SpeedProfile:
     """Repeating accelerate/cruise/brake/stop cycles over the speed range.
 
     Peak speeds rotate through a spread of the usable range so every band
-    of the table sees traffic.  ``accel`` is the ramp magnitude (default
-    scaled to the vehicle's envelope).
+    of the table sees traffic.  Ramps climb and fall at ``0.13 * v_max``
+    per second, scaled to the vehicle's envelope.
     """
-    if accel is None:
-        accel = 0.13 * v_max  # 0.4 m/s^2 on a 3 m/s vehicle
+    accel = 0.13 * v_max  # 0.4 m/s^2 on a 3 m/s vehicle
     peaks = [0.5, 0.85, 1.0, 0.65]
     t_pts = [0.0]
     v_pts = [0.0]

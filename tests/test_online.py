@@ -1,5 +1,6 @@
 """Online update law: gates, costs, table steps, and atomic publication."""
 
+import math
 import threading
 
 import numpy as np
@@ -8,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression
 
+import longcal.online
+import longcal.table
 from longcal.online import (
     OnlineCalibrator,
     OnlineConfig,
-    cell_cost,
     compute_gain,
     converge_check,
     publish,
@@ -30,8 +32,35 @@ def grid_table(n_cmd=41, n_speed=16, v_max=3.0, slope=0.03):
     return CalibrationTable(speed, cmd, acc)
 
 
+def _reference_cell_cost(init_table, i, j, feedback, cfg):
+    """The cost law for one cell in plain floats: the reference for ``_cost_matrix``."""
+    d_cmd = feedback.cmd_ref - float(init_table.cmd_grid[i])
+    d_v = feedback.v_ref - float(init_table.speed_grid[j])
+    if abs(d_cmd) <= cfg.delta_cmd and abs(d_v) <= cfg.delta_v:
+        distance = 0.0
+    else:
+        distance = cfg.alpha * d_cmd**cfg.m_cmd + cfg.beta * d_v**cfg.m_v + cfg.xi
+    similarity = cfg.epsilon * math.exp(
+        -cfg.iota * abs(float(init_table.acc[i, j]) - feedback.acc_k)
+    )
+    return distance * similarity
+
+
 def fb(cmd_ref=20.0, v_ref=1.0, acc_ref=0.5, acc_k=0.2, v_k=1.0):
     return OnlineFeedback(cmd_ref=cmd_ref, v_ref=v_ref, acc_ref=acc_ref, acc_k=acc_k, v_k=v_k)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        pytest.param(m, n, id=f"{m.__name__}.{n}")
+        for m in (longcal.table, longcal.online)
+        for n in m.__all__
+    ],
+)
+def test_all_names_exist(module, name):
+    # a name deleted from the module but left in __all__ breaks ``import *``
+    assert hasattr(module, name)
 
 
 class TestOnlineConfig:
@@ -87,7 +116,7 @@ class TestCellCost:
         feedback = fb(cmd_ref=float(table.cmd_grid[i]), v_ref=float(table.speed_grid[j]),
                       acc_k=float(table.acc[i, j]))
         state = OnlineCalibrator(table)
-        assert cell_cost(state.init_table, i, j, feedback, cfg) == 0.0
+        assert _cost_matrix(state.init_table, feedback, cfg)[i, j] == 0.0
 
     def test_far_cell_hand_value(self):
         # offsets (10 %, 1 m/s) with alpha=beta=1, m=2 and init agreeing with
@@ -102,7 +131,7 @@ class TestCellCost:
                 v_ref=float(table.speed_grid[j]) + 1.0,
                 acc_k=float(table.acc[i, j]),
             )
-            cost = cell_cost(table, i, j, feedback, cfg)
+            cost = _cost_matrix(table, feedback, cfg)[i, j]
             assert cost == pytest.approx((100.0 + 1.0 + 1e-8) * epsilon, rel=1e-12)
 
     def test_similarity_bounded_and_vanishing(self):
@@ -110,7 +139,7 @@ class TestCellCost:
         cfg = OnlineConfig(epsilon=0.7)
         i, j = 0, 0
         base = fb(cmd_ref=50.0, v_ref=2.0, acc_k=float(table.acc[i, j]))
-        nearby = cell_cost(table, i, j, base, cfg)
+        nearby = _cost_matrix(table, base, cfg)[i, j]
         distance = (
             cfg.alpha * (base.cmd_ref - table.cmd_grid[i]) ** 2
             + cfg.beta * (base.v_ref - table.speed_grid[j]) ** 2
@@ -118,7 +147,7 @@ class TestCellCost:
         )
         assert nearby <= distance * cfg.epsilon + 1e-12
         far_acc = fb(cmd_ref=50.0, v_ref=2.0, acc_k=float(table.acc[i, j]) + 50.0)
-        assert cell_cost(table, i, j, far_acc, cfg) < 1e-12
+        assert _cost_matrix(table, far_acc, cfg)[i, j] < 1e-12
 
     def test_matrix_matches_scalar(self):
         table = grid_table(n_cmd=9, n_speed=5)
@@ -128,7 +157,7 @@ class TestCellCost:
         for i in range(9):
             for j in range(5):
                 assert matrix[i, j] == pytest.approx(
-                    cell_cost(table, i, j, feedback, cfg), rel=1e-12
+                    _reference_cell_cost(table, i, j, feedback, cfg), rel=1e-12
                 )
 
 

@@ -17,18 +17,16 @@ from longcal.preprocess import (
     ImplausibleFrame,
     InsufficientHistory,
     InvalidRate,
-    NoMatch,
     NonFiniteFrame,
     OnlinePreprocessor,
     TimestampNotIncreasing,
     WindowTooLarge,
-    align_delay,
+    _outlier_mask,
     bin_and_uniform,
     command_consistency_gate,
     mean_filter,
     nearest_cell_index,
     offline_pipeline,
-    remove_outliers,
     speed_acc_consistency_gate,
     steering_gate,
 )
@@ -82,28 +80,26 @@ class TestSteeringGate:
 
 class TestRemoveOutliers:
     def test_all_equal_passthrough(self):
-        out = remove_outliers(np.full(6, 1.25))
-        assert len(out) == 6
+        assert np.array_equal(_outlier_mask(np.full(6, 1.25)), np.ones(6, dtype=bool))
 
     def test_hand_zscores(self):
         # mean 2.5, std 4.330: the 10 sits at z=1.73 and is dropped
-        out = remove_outliers([0.0, 0.0, 0.0, 10.0])
-        assert np.array_equal(out, [0.0, 0.0, 0.0])
+        mask = _outlier_mask(np.array([0.0, 0.0, 0.0, 10.0]))
+        assert np.array_equal(mask, [True, True, True, False])
 
     def test_single_sample_passthrough(self):
-        assert np.array_equal(remove_outliers([7.0]), [7.0])
+        assert np.array_equal(_outlier_mask(np.array([7.0])), [True])
 
     def test_never_empties_nonempty_input(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
             cell = rng.normal(rng.uniform(-3, 3), rng.uniform(0, 2), rng.integers(1, 12))
-            assert len(remove_outliers(cell)) >= 1
+            assert _outlier_mask(cell).any()
 
     def test_single_pass_not_iterated(self):
         # iterating would also kill the 4.0 on the second sweep
-        cell = np.array([0.0, 0.0, 0.0, 0.0, 4.0, 100.0])
-        out = remove_outliers(cell)
-        assert 4.0 in out
+        mask = _outlier_mask(np.array([0.0, 0.0, 0.0, 0.0, 4.0, 100.0]))
+        assert np.array_equal(mask, [True, True, True, True, True, False])
 
 
 class TestBinAndUniform:
@@ -155,26 +151,6 @@ class TestBinAndUniform:
     def test_nearest_cell_index(self):
         grid = np.array([0.0, 1.0, 2.0])
         assert np.array_equal(nearest_cell_index(grid, [-5.0, 0.4, 0.6, 1.4, 9.0]), [0, 0, 1, 1, 2])
-
-
-class TestAlignDelay:
-    def test_zero_delay_pairs_same_frames(self):
-        t = np.arange(50) * 0.01
-        ci, ii = align_delay(t, t, delay=0.0)
-        assert np.array_equal(ci, ii)
-        assert len(ci) == 50
-
-    def test_tail_produces_no_pairs(self):
-        t = np.arange(100) * 0.01
-        ci, ii = align_delay(t, t, delay=0.2)
-        assert len(ci) == 80
-        assert np.array_equal(ii, ci + 20)
-
-    def test_gap_raises_no_match(self):
-        t_cmd = np.array([0.0, 0.01, 0.02])
-        t_imu = np.array([0.0, 0.01, 0.02, 0.5])
-        with pytest.raises(NoMatch):
-            align_delay(t_cmd, t_imu, delay=0.2)
 
 
 def lowpass(series, sample_rate=100.0):
@@ -343,7 +319,7 @@ class TestOfflinePipeline:
         n = 5000
         log = make_log(n=n, cmd=np.full(n, 50.0), v=np.full(n, 1.0), acc=rng.normal(1.0, 0.05, n))
         bins = offline_pipeline(log, np.array([0.0, 50.0, 100.0]), np.array([0.0, 1.0, 2.0]), cap=5000)
-        accs = bins.cell_accs(1, 1)
+        accs = bins.cells[(1, 1)][:, 2]
         assert len(accs) > 100
         assert accs.std() < 0.05 / np.sqrt(5) * 1.5
 
@@ -403,6 +379,10 @@ class TestOnlinePreprocessor:
             pytest.param({"acc_meas": 1e308}, ImplausibleFrame, id="acc_meas-1e308"),
             pytest.param({"acc_meas": 1e6}, ImplausibleFrame, id="acc_meas-1e6"),
             pytest.param({"acc_meas": -1e6}, ImplausibleFrame, id="acc_meas-minus-1e6"),
+            # a finite but absurd expected acceleration: 1e6, admitted, stepped
+            # every cell by its gain
+            pytest.param({"acc_expected": 1e6}, ImplausibleFrame, id="acc_expected-1e6"),
+            pytest.param({"acc_expected": -1e6}, ImplausibleFrame, id="acc_expected-minus-1e6"),
             # frame 200 carrying frame 199's time, and a time one second back
             pytest.param({"t": 199 * 0.01}, TimestampNotIncreasing, id="t-repeated"),
             pytest.param({"t": 200 * 0.01 - 1.0}, TimestampNotIncreasing, id="t-back"),
