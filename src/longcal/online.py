@@ -11,21 +11,24 @@ Feedback arrives already gated by ``OnlinePreprocessor.push``, which runs
 the one command-consistency gate.  The columns a step leaves decreasing
 are repaired together, by one batched isotonic pass in ``table``, and a
 non-finite gain is refused before the step; the result passes
-``invert`` and is published by atomic whole-table replacement: a reader
-always sees either the old or the new table, never a mixture.
+``invert`` and the plausibility bound ``ACC_MEAS_LIMIT`` and is published
+by atomic whole-table replacement: a reader always sees either the old or
+the new table, never a mixture.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .preprocess import OnlineFeedback
+from .preprocess import ACC_MEAS_LIMIT, OnlineFeedback
 from .table import CalibrationTable, NonFiniteTable, _monotone_columns, invert
 
 __all__ = [
+    "ImplausibleTable",
     "OnlineConfig",
     "OnlineCalibrator",
     "converge_check",
@@ -33,6 +36,10 @@ __all__ = [
     "update_table",
     "publish",
 ]
+
+
+class ImplausibleTable(ValueError):
+    """A table to publish promises an acceleration beyond ``ACC_MEAS_LIMIT``."""
 
 
 @dataclass(frozen=True)
@@ -93,15 +100,47 @@ def compute_gain(acc_ref: float, acc_k: float) -> float:
     return acc_ref - acc_k
 
 
+def _span(grid: list[float], x: float, half: float) -> slice:
+    """The indices ``i`` with ``abs(x - grid[i]) <= half``, for an increasing ``grid``.
+
+    ``abs(x - g)`` falls (weakly) up to the first grid value at or above
+    ``x`` and rises (weakly) from there, float rounding included, so those
+    indices are one contiguous run: walk out from that first value.
+    """
+    lo = hi = bisect_left(grid, x)
+    while lo > 0 and abs(x - grid[lo - 1]) <= half:
+        lo -= 1
+    while hi < len(grid) and abs(x - grid[hi]) <= half:
+        hi += 1
+    return slice(lo, hi)
+
+
+def _window(table: CalibrationTable, feedback: OnlineFeedback, cfg: OnlineConfig) -> tuple[slice, slice]:
+    """(rows, columns) of the full-strength window around the feedback point.
+
+    A cell is inside when ``|cmd_ref - cmd_grid[i]|`` is within delta_cmd
+    and ``|v_ref - speed_grid[j]|`` within delta_v: these are the cells
+    ``_cost_matrix`` gives zero cost.
+    """
+    return (
+        _span(table._cmd, feedback.cmd_ref, cfg.delta_cmd),
+        _span(table._speed, feedback.v_ref, cfg.delta_v),
+    )
+
+
 def _cost_matrix(
-    init_table: CalibrationTable, feedback: OnlineFeedback, cfg: OnlineConfig
+    init_table: CalibrationTable,
+    feedback: OnlineFeedback,
+    cfg: OnlineConfig,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Damping cost of every cell: distance decay times similarity.
 
     The offsets ``d_cmd`` and ``d_v`` run from each grid point to the
-    feedback point ``(cmd_ref, v_ref)``.  Inside the window (``|d_cmd|``
-    within delta_cmd and ``|d_v|`` within delta_v) the distance term
-    collapses to zero, so the cell takes the full step regardless of
+    feedback point ``(cmd_ref, v_ref)``.  Inside the window (``_window``:
+    ``|d_cmd|`` within delta_cmd and ``|d_v|`` within delta_v) the distance
+    term collapses to zero, so the cell takes the full step regardless of
     similarity.  Far cells pay a polynomial distance cost,
     ``alpha * d_cmd**m_cmd + beta * d_v**m_v + xi``, scaled by the
     similarity ``epsilon * exp(-iota * |init acc - acc_k|)``: the closer the
@@ -109,18 +148,28 @@ def _cost_matrix(
     cell resists change.  The window requires both offsets small; widening
     it to either offset lets every feedback drag whole rows and columns of
     unrelated cells at full strength, which destabilises the loop.
+
+    The similarity depends on ``acc_k``, so no part of the matrix but the
+    grid offsets carries over between updates.  The cost is written into
+    ``out`` and the similarity into ``work``, two arrays of the table's
+    shape, when given (``update_table`` passes the calibrator's own), and
+    into new arrays otherwise; ``out`` is returned.
     """
+    shape = init_table.acc.shape
+    out = np.empty(shape) if out is None else out
+    work = np.empty(shape) if work is None else work
     d_cmd = feedback.cmd_ref - init_table.cmd_grid
     d_v = feedback.v_ref - init_table.speed_grid
-    in_window = (np.abs(d_cmd)[:, None] <= cfg.delta_cmd) & (np.abs(d_v)[None, :] <= cfg.delta_v)
-    distance = (
-        cfg.alpha * d_cmd[:, None] ** cfg.m_cmd
-        + cfg.beta * d_v[None, :] ** cfg.m_v
-        + cfg.xi
-    )
-    distance[in_window] = 0.0
-    similarity = cfg.epsilon * np.exp(-cfg.iota * np.abs(init_table.acc - feedback.acc_k))
-    return distance * similarity
+    np.add((cfg.alpha * d_cmd**cfg.m_cmd)[:, None], cfg.beta * d_v**cfg.m_v, out=out)
+    out += cfg.xi
+    out[_window(init_table, feedback, cfg)] = 0.0
+    np.subtract(init_table.acc, feedback.acc_k, out=work)
+    np.abs(work, out=work)
+    work *= -cfg.iota
+    np.exp(work, out=work)
+    work *= cfg.epsilon
+    out *= work
+    return out
 
 
 def update_table(state: OnlineCalibrator, feedback: OnlineFeedback, cfg: OnlineConfig) -> CalibrationTable:
@@ -141,20 +190,34 @@ def update_table(state: OnlineCalibrator, feedback: OnlineFeedback, cfg: OnlineC
     old = state.table
     if gain == 0.0:
         return old
-    step = (cfg.sigma * gain) / (1.0 + _cost_matrix(state.init_table, feedback, cfg))
-    acc = _monotone_columns(old.acc - step)
+    # the step is formed in the calibrator's cost buffer, in place
+    step = _cost_matrix(state.init_table, feedback, cfg, state._cost, state._work)
+    step += 1.0
+    np.divide(cfg.sigma * gain, step, out=step)
+    acc = _monotone_columns(np.subtract(old.acc, step))
     return CalibrationTable._trusted(old, acc)
 
 
 def publish(state: OnlineCalibrator, new_table: CalibrationTable) -> None:
-    """Check ``new_table`` with ``invert`` and make it the controller-visible table, atomically.
+    """Check ``new_table`` and make it the controller-visible table, atomically.
 
-    The (table, revision) pair is swapped in one reference assignment;
+    The table must pass ``invert`` (finite and monotone) and promise no
+    acceleration beyond ``ACC_MEAS_LIMIT`` in magnitude, the bound ``push``
+    puts on a measurement; a runaway table raises ImplausibleTable.  The
+    (table, revision) pair is swapped in one reference assignment;
     concurrent readers observe either the previous pair or this one, and
-    revisions increase strictly.  A table that ``invert`` refuses raises
-    before the swap, so the previous pair stays published.
+    revisions increase strictly.  A refused table raises before the swap,
+    so the previous pair stays published.
     """
-    state._published = (invert(new_table), state.revision + 1)
+    acc = invert(new_table).acc
+    # monotone columns: every column's extremes lie in the first and last rows
+    low, high = float(acc[0].min()), float(acc[-1].max())
+    if low < -ACC_MEAS_LIMIT or high > ACC_MEAS_LIMIT:
+        raise ImplausibleTable(
+            f"table promises {low if low < -ACC_MEAS_LIMIT else high!r} m/s^2, "
+            f"beyond {ACC_MEAS_LIMIT:g}"
+        )
+    state._published = (new_table, state.revision + 1)
 
 
 class OnlineCalibrator:
@@ -164,13 +227,18 @@ class OnlineCalibrator:
     every similarity cost refers to it.  Only the published (table,
     revision) pair advances.  Skipped cycles (converged speed, or no
     admissible feedback) still count toward ``cycle``; nothing decays
-    between updates.
+    between updates.  Readers may take snapshots from any thread, but
+    updates run on one: each forms its step in the calibrator's two cost
+    buffers.
     """
 
     def __init__(self, init_table: CalibrationTable, cfg: OnlineConfig | None = None):
         self.cfg = cfg or OnlineConfig()
         self.init_table = invert(init_table)
         self.cycle = 0
+        # the cost matrix and its similarity factor, rewritten by every update
+        self._cost = np.empty(self.init_table.shape)
+        self._work = np.empty(self.init_table.shape)
         self._published = (self.init_table, 0)
 
     @property

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .online import OnlineCalibrator, OnlineConfig, compute_gain
+from .online import OnlineCalibrator, OnlineConfig, _window, compute_gain
 from .preprocess import MODE_AUTO, MODE_MANUAL, DriveLog, OnlinePreprocessor, nearest_cell_index
 from .table import CalibrationTable, default_cmd_grid, default_speed_grid, invert, lookup_acc, lookup_cmd
 
@@ -407,7 +407,7 @@ class OnlineSessionEvent:
     acc_ref: float
     acc_k: float
     gain: float
-    updated_cells: int  # cells in the full-strength window: the ones _cost_matrix gives zero cost
+    updated_cells: int  # cells in the full-strength window (online._window): the ones _cost_matrix gives zero cost
     revision: int
 
 
@@ -523,10 +523,7 @@ def run_closed_loop(
             marked += 1
         if updated:
             latencies.append(elapsed)
-            in_win = int(
-                (np.abs(feedback.cmd_ref - cmd_grid) <= cal.cfg.delta_cmd).sum()
-                * (np.abs(feedback.v_ref - speed_grid) <= cal.cfg.delta_v).sum()
-            )
+            rows, cols = _window(cal.init_table, feedback, cal.cfg)
             events.append(
                 OnlineSessionEvent(
                     cycle=cal.cycle,
@@ -536,7 +533,7 @@ def run_closed_loop(
                     acc_ref=feedback.acc_ref,
                     acc_k=feedback.acc_k,
                     gain=compute_gain(feedback.acc_ref, feedback.acc_k),
-                    updated_cells=in_win,
+                    updated_cells=(rows.stop - rows.start) * (cols.stop - cols.start),
                     revision=cal.revision,
                 )
             )

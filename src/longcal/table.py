@@ -15,10 +15,11 @@ column at once, in one vectorised pool-adjacent-violators pass.
 
 Both reads run once per control cycle on scalars, so they do their work on
 plain Python floats, not in numpy calls: each table keeps list copies of
-its two grids, ``bisect_right`` finds the cell, and the cell values are
-read with ``acc.item``.  ``lookup_cmd`` inverts a column with the
-arithmetic of ``np.interp``, in its order, so both reads return the very
-floats the numpy forms would; a NaN query returns NaN.
+its two grids and of each speed column it has been read at,
+``bisect_right`` finds the cell, and the cell values are list items.
+``lookup_cmd`` inverts a column with the arithmetic of ``np.interp``, in
+its order, so both reads return the very floats the numpy forms would; a
+NaN query returns NaN.
 """
 
 from __future__ import annotations
@@ -81,19 +82,26 @@ class CalibrationTable:
 
     Grids must be strictly increasing with at least two entries; the value
     matrix must match their shape and be finite everywhere.  Instances are
-    immutable: the online updater publishes changes by building a whole new
-    table, never by mutating one in place, so a reader always holds an
-    internally consistent snapshot.
+    immutable: construction copies all three arrays and makes the copies
+    read-only, so neither a later write to the caller's arrays (or to the
+    base of a view) nor the caller's own arrays' writability is affected.
+    The online updater publishes changes by building a whole new table,
+    never by mutating one in place, so a reader always holds an internally
+    consistent snapshot.
 
     Column monotonicity is *not* enforced at construction (a freshly updated
     table may be temporarily non-monotone; ``project_monotone`` restores it).
     ``invert`` refuses non-monotone tables.
 
     Beside the three fields, a table holds each grid as a list of Python
-    floats, built once where the grids are validated, for the per-cycle
-    reads to bisect.  A successor built by ``_trusted`` shares its
-    predecessor's lists with its grids, so publishing an update copies
-    neither.
+    floats, built once where the grids are validated, and a per-table cache
+    of speed columns, each a list of Python floats made the first time a
+    read touches that column (``_column``).  A successor built by
+    ``_trusted`` shares its predecessor's grid lists but starts with an
+    empty column cache, so publishing an update copies nothing and a read
+    never sees its predecessor's values.  Two threads reading the same new
+    column may both build it; they store equal lists, so whichever lands
+    is correct.
     """
 
     speed_grid: np.ndarray
@@ -101,9 +109,9 @@ class CalibrationTable:
     acc: np.ndarray
 
     def __post_init__(self):
-        speed = np.asarray(self.speed_grid, dtype=float)
-        cmd = np.asarray(self.cmd_grid, dtype=float)
-        acc = np.asarray(self.acc, dtype=float)
+        speed = np.array(self.speed_grid, dtype=float)
+        cmd = np.array(self.cmd_grid, dtype=float)
+        acc = np.array(self.acc, dtype=float)
         if speed.ndim != 1 or len(speed) < 2:
             raise ValueError("speed_grid needs at least two entries")
         if cmd.ndim != 1 or len(cmd) < 2:
@@ -124,6 +132,7 @@ class CalibrationTable:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "_speed", speed.tolist())
         object.__setattr__(self, "_cmd", cmd.tolist())
+        object.__setattr__(self, "_cols", [None] * len(speed))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -133,11 +142,18 @@ class CalibrationTable:
         """True when every speed column is non-decreasing in command."""
         return bool(np.all(np.diff(self.acc, axis=0) >= 0.0))
 
+    def _column(self, j: int) -> list[float]:
+        """Speed column ``j`` as a list of floats, made on first use and then cached."""
+        col = self._cols[j]
+        if col is None:
+            col = self._cols[j] = self.acc[:, j].tolist()
+        return col
+
     @classmethod
     def _trusted(cls, like: "CalibrationTable", acc: np.ndarray) -> "CalibrationTable":
-        # construction without validation, for per-cycle update paths whose
-        # input is an already validated table on ``like``'s grids; the grids
-        # and their lists are shared, not copied
+        # construction without validation or copies, for per-cycle update
+        # paths whose ``acc`` is a fresh array over ``like``'s grids: the
+        # grids and their lists are shared, the column cache starts empty
         obj = object.__new__(cls)
         acc.setflags(write=False)
         object.__setattr__(obj, "speed_grid", like.speed_grid)
@@ -145,6 +161,7 @@ class CalibrationTable:
         object.__setattr__(obj, "acc", acc)
         object.__setattr__(obj, "_speed", like._speed)
         object.__setattr__(obj, "_cmd", like._cmd)
+        object.__setattr__(obj, "_cols", [None] * len(like._speed))
         return obj
 
 
@@ -155,8 +172,14 @@ def _grid_weights(grid: list[float], x: float) -> tuple[int, float]:
     the index ``searchsorted(side="right")`` gives, NaN included: a NaN
     ``x`` lands past the end, so it reads the last cell with a NaN weight.
     """
-    x = min(max(x, grid[0]), grid[-1])
-    i = min(bisect_right(grid, x) - 1, len(grid) - 2)
+    # a NaN fails both comparisons and stays NaN
+    if x < grid[0]:
+        x = grid[0]
+    elif x > grid[-1]:
+        x = grid[-1]
+    i = bisect_right(grid, x) - 1
+    if i == len(grid) - 1:
+        i -= 1
     return i, (x - grid[i]) / (grid[i + 1] - grid[i])
 
 
@@ -165,16 +188,17 @@ def lookup_acc(table: CalibrationTable, cmd: float, v: float) -> float:
 
     Queries outside the grid are clamped to its edge: commanding beyond the
     table never extrapolates the pedal map.  Exact at grid points.  A NaN
-    ``cmd`` or ``v`` returns NaN.
+    ``cmd`` or ``v`` returns NaN.  The two speed columns are read from the
+    table's column cache, the ones a ``lookup_cmd`` at the same speed reads.
     """
     ci, cw = _grid_weights(table._cmd, cmd)
     vi, vw = _grid_weights(table._speed, v)
-    a = table.acc.item
+    lo, hi = table._column(vi), table._column(vi + 1)
     return float(
-        a(ci, vi) * (1.0 - cw) * (1.0 - vw)
-        + a(ci + 1, vi) * cw * (1.0 - vw)
-        + a(ci, vi + 1) * (1.0 - cw) * vw
-        + a(ci + 1, vi + 1) * cw * vw
+        lo[ci] * (1.0 - cw) * (1.0 - vw)
+        + lo[ci + 1] * cw * (1.0 - vw)
+        + hi[ci] * (1.0 - cw) * vw
+        + hi[ci + 1] * cw * vw
     )
 
 
@@ -189,9 +213,9 @@ def invert(table: CalibrationTable) -> CalibrationTable:
     """
     if not np.isfinite(table.acc).all():
         raise NonFiniteTable("table holds a NaN or infinite acceleration")
-    diffs = np.diff(table.acc, axis=0)
-    if np.any(diffs < 0.0):
-        bad = int(np.argwhere(np.any(diffs < 0.0, axis=0))[0][0])
+    falls = table.acc[1:] < table.acc[:-1]
+    if falls.any():
+        bad = int(np.flatnonzero(falls.any(axis=0))[0])
         raise MonotonicityViolation(
             f"speed column {bad} (v={table.speed_grid[bad]:g} m/s) is not "
             "monotone in command"
@@ -199,25 +223,25 @@ def invert(table: CalibrationTable) -> CalibrationTable:
     return table
 
 
-def _column_cmd(acc: np.ndarray, j: int, cmd: list[float], x: float) -> float:
-    """``np.interp(x, acc[:, j], cmd)`` for a non-decreasing column and a number ``x``.
+def _column_cmd(col: list[float], cmd: list[float], x: float) -> float:
+    """``np.interp(x, col, cmd)`` for a non-decreasing column ``col`` and a number ``x``.
 
-    ``bisect_right`` over the column view finds the last row at or below
+    ``bisect_right`` over the column's list finds the last row at or below
     ``x``, the row ``np.interp``'s own search finds.  As there, a query
     below or above the column is clamped to its end, an exact hit returns
     that row's command (the upper end of a plateau), and between rows the
     command is ``(y1 - y0) / (x1 - x0) * (x - x0) + y0``, retried from the
     upper row when that is NaN (a span so wide its difference overflows).
     """
-    i = bisect_right(acc[:, j], x) - 1
+    i = bisect_right(col, x) - 1
     if i < 0:
         return cmd[0]
     if i == len(cmd) - 1:
         return cmd[i]
-    x0 = acc.item(i, j)
+    x0 = col[i]
     if x0 == x:
         return cmd[i]
-    x1 = acc.item(i + 1, j)
+    x1 = col[i + 1]
     slope = (cmd[i + 1] - cmd[i]) / (x1 - x0)
     y = slope * (x - x0) + cmd[i]
     if y != y:
@@ -231,18 +255,18 @@ def lookup_cmd(table: CalibrationTable, v: float, acc: float) -> float:
     Each neighbouring speed column is inverted by piecewise-linear
     interpolation (clamped to the column's acceleration range), then the two
     per-column commands are blended linearly in speed.  The inversion is a
-    bisection on plain floats with ``np.interp``'s arithmetic
-    (``_column_cmd``), so it returns what ``np.interp`` on the two columns
-    would.  A NaN ``acc`` or ``v`` returns NaN; a bisection alone would read
-    NaN as beyond the column and command full throttle.  ``table`` must
-    have passed ``invert``.
+    bisection of the table's cached float columns with ``np.interp``'s
+    arithmetic (``_column_cmd``), so it returns what ``np.interp`` on the
+    two columns would.  A NaN ``acc`` or ``v`` returns NaN; a bisection
+    alone would read NaN as beyond the column and command full throttle.
+    ``table`` must have passed ``invert``.
     """
     if acc != acc:
         return float(acc)
     j, w = _grid_weights(table._speed, v)
     cmd = table._cmd
-    lo = _column_cmd(table.acc, j, cmd, acc)
-    hi = _column_cmd(table.acc, j + 1, cmd, acc)
+    lo = _column_cmd(table._column(j), cmd, acc)
+    hi = _column_cmd(table._column(j + 1), cmd, acc)
     return float((1.0 - w) * lo + w * hi)
 
 

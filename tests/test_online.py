@@ -12,6 +12,7 @@ from scipy.optimize import isotonic_regression
 import longcal.online
 import longcal.table
 from longcal.online import (
+    ImplausibleTable,
     OnlineCalibrator,
     OnlineConfig,
     compute_gain,
@@ -19,10 +20,11 @@ from longcal.online import (
     publish,
     update_table,
     _cost_matrix,
+    _window,
 )
-from longcal.preprocess import OnlineFeedback
+from longcal.preprocess import ACC_MEAS_LIMIT, OnlineFeedback
 from longcal.simulator import ax1, run_closed_loop, trapezoid_profile
-from longcal.table import CalibrationTable, NonFiniteTable, invert, lookup_acc
+from longcal.table import CalibrationTable, NonFiniteTable, invert, lookup_acc, lookup_cmd
 
 
 def grid_table(n_cmd=41, n_speed=16, v_max=3.0, slope=0.03):
@@ -160,6 +162,35 @@ class TestCellCost:
                     _reference_cell_cost(table, i, j, feedback, cfg), rel=1e-12
                 )
 
+    def test_window_is_the_zero_cost_block(self):
+        # points on, between and beyond the grid, and exactly delta off a
+        # grid value, where the float rounding of |x - g| decides
+        table = grid_table()
+        cfg = OnlineConfig()
+        rng = np.random.default_rng(3)
+        cmds = [-120.0, -100.0, 7.5, 100.0, 130.0] + rng.uniform(-105, 105, 40).tolist()
+        cmds += [g + d for g in table.cmd_grid.tolist() for d in (-cfg.delta_cmd, cfg.delta_cmd)]
+        speeds = [-1.0, 0.0, 0.1, 3.0, 4.0] + rng.uniform(-0.5, 3.5, 40).tolist()
+        speeds += [g + d for g in table.speed_grid.tolist() for d in (-cfg.delta_v, cfg.delta_v)]
+        for cmd_ref, v_ref in zip(cmds, speeds):
+            feedback = fb(cmd_ref=cmd_ref, v_ref=v_ref)
+            expect = (np.abs(cmd_ref - table.cmd_grid)[:, None] <= cfg.delta_cmd) & (
+                np.abs(v_ref - table.speed_grid)[None, :] <= cfg.delta_v
+            )
+            got = np.zeros(table.shape, dtype=bool)
+            got[_window(table, feedback, cfg)] = True
+            assert np.array_equal(got, expect), (cmd_ref, v_ref)
+
+    def test_buffers_hold_the_same_cost(self):
+        # the cost written into reused, stale buffers is the freshly allocated one
+        table = grid_table()
+        cfg = OnlineConfig()
+        out, work = np.full(table.shape, np.nan), np.full(table.shape, 7.0)
+        for feedback in (fb(), fb(cmd_ref=-62.0, v_ref=2.9, acc_k=-1.4)):
+            got = _cost_matrix(table, feedback, cfg, out, work)
+            assert got is out
+            assert np.array_equal(got, _cost_matrix(table, feedback, cfg))
+
 
 class TestUpdateTable:
     def test_zero_gain_fixed_point(self):
@@ -274,6 +305,20 @@ class TestUpdateTable:
         delta_a = state_a.table.acc - new_a.acc
         delta_b = state_b.table.acc - new_b.acc
         assert np.allclose(delta_a, delta_b, atol=1e-12)
+
+    def test_successor_reads_its_own_cells(self):
+        # the old table's reads fill its column cache first; the successor
+        # must read its own cells, as a table built afresh from them does
+        table = grid_table()
+        state = OnlineCalibrator(table)
+        cmd, v = 20.0, 1.0
+        before = lookup_acc(table, cmd, v), lookup_cmd(table, v, 0.3)
+        new = update_table(state, fb(cmd_ref=cmd, v_ref=v, acc_ref=0.8, acc_k=0.3), OnlineConfig(sigma=1.0))
+        fresh = CalibrationTable(new.speed_grid, new.cmd_grid, new.acc)
+        after = lookup_acc(new, cmd, v), lookup_cmd(new, v, 0.3)
+        assert after == (lookup_acc(fresh, cmd, v), lookup_cmd(fresh, v, 0.3))
+        assert after[0] < before[0] and after[1] > before[1]
+        assert lookup_acc(table, cmd, v) == before[0]
 
     def test_projection_restores_monotonicity(self):
         # a feedback at the edge of the window bends the column; the
@@ -396,6 +441,46 @@ class TestPublish:
             t.join()
         assert errors == []
         assert state.revision == 300
+
+    @pytest.mark.parametrize("row, value", [(-1, ACC_MEAS_LIMIT + 0.5), (0, -ACC_MEAS_LIMIT - 0.5)])
+    def test_runaway_table_is_refused(self, row, value):
+        table = grid_table()
+        state = OnlineCalibrator(table)
+        acc = table.acc.copy()
+        acc[row, 3] = value
+        with pytest.raises(ImplausibleTable, match="beyond 50"):
+            publish(state, CalibrationTable(table.speed_grid, table.cmd_grid, acc))
+        assert state.table is table and state.revision == 0
+
+    def test_table_at_the_limit_is_published(self):
+        table = grid_table()
+        state = OnlineCalibrator(table)
+        acc = table.acc.copy()
+        acc[0, :], acc[-1, :] = -ACC_MEAS_LIMIT, ACC_MEAS_LIMIT
+        limit = CalibrationTable(table.speed_grid, table.cmd_grid, acc)
+        publish(state, limit)
+        assert state.table is limit and state.revision == 1
+
+    def test_runaway_run_stops_at_publish(self, monkeypatch):
+        # sigma 0.5 at the ax1's own truth runs away (see ROADMAP): the update
+        # that first crosses the limit is refused at publish, long before the
+        # t = 240.35 s frame whose expected acceleration ``push`` would refuse
+        states = []
+        real = longcal.online.publish
+
+        def spy(state, new_table):
+            states.append(state)
+            return real(state, new_table)
+
+        monkeypatch.setattr(longcal.online, "publish", spy)
+        config = ax1(load=0.0)
+        profile = trapezoid_profile(config.v_max, 300.0)
+        with pytest.raises(ImplausibleTable):
+            run_closed_loop(config, config.true_table(), profile, online=OnlineConfig(sigma=0.5), seed=0)
+        state = states[-1]
+        assert state.cycle * 0.01 < 240.35
+        assert state.revision == len(states) - 1
+        assert np.abs(state.table.acc).max() <= ACC_MEAS_LIMIT
 
 
 class TestOnlineCalibrator:

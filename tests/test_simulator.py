@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from longcal import offline, preprocess, simulator
+from longcal import offline, online, preprocess, simulator
 from longcal.online import OnlineConfig, _cost_matrix
 from longcal.table import CalibrationTable, lookup_acc, lookup_cmd, serialize
 
@@ -56,6 +56,11 @@ def nets_text(throttle, brake) -> str:
             lines.extend(" ".join(x.hex() for x in row) for row in w.tolist())
             lines.append(f"{name} b{i} " + " ".join(x.hex() for x in b.tolist()))
     return "\n".join(lines) + "\n"
+
+
+def acc_text(acc) -> str:
+    """A table's cells, one command row per line, losslessly as ``float.hex``."""
+    return "".join(" ".join(x.hex() for x in row) + "\n" for row in acc.tolist())
 
 
 def log_text(log) -> str:
@@ -124,9 +129,7 @@ class TestGoldens:
         assert serialize(mkz_table) == (GOLDEN / "mkz_offline.txt").read_text()
 
     def test_ax1_online_final_table(self, online_run):
-        golden = np.loadtxt(GOLDEN / "ax1_online_acc.txt")
-        assert online_run.table.acc.shape == golden.shape
-        assert np.max(np.abs(online_run.table.acc - golden)) <= 1e-9
+        assert acc_text(online_run.table.acc) == (GOLDEN / "ax1_online_acc.txt").read_text()
 
 
 class TestDriveLogGoldens:
@@ -259,6 +262,43 @@ class TestControlCycle:
         ] = True
         assert np.array_equal(online_run.visited_cells, expect)
 
+    @pytest.mark.parametrize("online", [False, True])
+    def test_one_read_each_way_per_cycle(self, ax1_table, online, monkeypatch):
+        # the loop reads the table through the module's own names, once each
+        # per cycle, so a reader swapped in there sees every read
+        calls = {"lookup_cmd": 0, "lookup_acc": 0}
+        for name in calls:
+            real = getattr(simulator, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(simulator, name, counted)
+        run = ax1_loop(ax1_table, online=online, duration=5.0)
+        assert calls == {"lookup_cmd": len(run.trace), "lookup_acc": len(run.trace)}
+
+    def test_updates_go_through_the_online_module(self, ax1_table, monkeypatch):
+        # every published table is built by ``online.update_table`` and made
+        # current by ``online.publish``, looked up on the module at each call
+        built, published = [], []
+        real_update, real_publish = online.update_table, online.publish
+
+        def update(state, feedback, cfg):
+            built.append(real_update(state, feedback, cfg))
+            return built[-1]
+
+        def publish(state, table):
+            published.append(table is built[-1])
+            real_publish(state, table)
+
+        monkeypatch.setattr(online, "update_table", update)
+        monkeypatch.setattr(online, "publish", publish)
+        run = ax1_loop(ax1_table, online=True, duration=10.0)
+        assert len(run.events) > 50
+        assert published == [True] * len(run.events)
+        assert run.table is built[-1]
+
     def test_cycle_runs_on_plain_floats(self, online_run):
         # ``type(...) is float``, not ``isinstance``: np.float64 subclasses float
         assert all(type(e.acc_k) is float for e in online_run.events)
@@ -273,7 +313,7 @@ if __name__ == "__main__":
     (GOLDEN / "ax1_offline.txt").write_text(serialize(ax1))
     (GOLDEN / "ax1_nets.txt").write_text(nets_text(ax1_throttle, ax1_brake))
     (GOLDEN / "mkz_offline.txt").write_text(serialize(offline_table(simulator.mkz(load=0.0))))
-    np.savetxt(GOLDEN / "ax1_online_acc.txt", ax1_loop(ax1, online=True).table.acc, fmt="%.17g")
+    (GOLDEN / "ax1_online_acc.txt").write_text(acc_text(ax1_loop(ax1, online=True).table.acc))
     for preset in sorted(simulator.PRESETS):
         (GOLDEN / f"drive_log_{preset}.txt").write_text(log_text(short_log(preset)))
     (GOLDEN / "drive_log_sha256.txt").write_text("".join(log_digests(p) for p in sorted(simulator.PRESETS)))

@@ -1,6 +1,8 @@
 """Calibration table storage, interpolation, inversion, projection, text IO."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -68,6 +70,30 @@ class TestConstruction:
         t = make_table()
         with pytest.raises(ValueError):
             t.acc[0, 0] = 99.0
+
+    def test_view_input_does_not_follow_its_base(self):
+        # the table owns a copy: a later write to the base of the view it was
+        # built from changes neither its cells nor its cached column reads
+        base = np.ones((4, 5))
+        t = CalibrationTable(np.array([0.0, 1.0, 2.0, 3.0]), np.array([-50.0, 0.0, 50.0, 100.0]), base[:, :4])
+        assert lookup_acc(t, 0.0, 1.0) == 1.0
+        base[:] = 5.0
+        assert lookup_acc(t, 0.0, 1.0) == 1.0
+        assert lookup_acc(t, 25.0, 2.5) == 1.0
+        assert np.all(t.acc == 1.0)
+
+    def test_caller_arrays_stay_writable(self):
+        speed = np.array([0.0, 1.0, 2.0, 3.0])
+        cmd = np.array([-50.0, 0.0, 50.0, 100.0])
+        acc = 0.04 * cmd[:, None] - 0.1 * speed[None, :]
+        t = CalibrationTable(speed, cmd, acc)
+        for arr in (speed, cmd, acc):
+            assert arr.flags.writeable
+        acc[0, 0] = 99.0
+        speed[0] = -1.0
+        assert t.acc[0, 0] == -2.0 and t.speed_grid[0] == 0.0
+        for arr in (t.speed_grid, t.cmd_grid, t.acc):
+            assert not arr.flags.writeable
 
 
 class TestLookupAcc:
@@ -157,6 +183,44 @@ class TestLookupCmd:
         at_hi = lookup_cmd(view, 2.0, 0.5)
         assert at_mid == pytest.approx(0.5 * (at_lo + at_hi))
         assert at_mid == pytest.approx(10.0)
+
+
+class TestColumnCache:
+    def test_concurrent_first_reads_agree(self):
+        # six readers race to fill the column caches of fresh tables, with the
+        # interpreter switching threads as often as it can; every read must
+        # equal the same read of a copy whose cache one thread filled alone
+        rng = np.random.default_rng(7)
+        tables = [random_monotone_table(rng, n_cmd=21, n_speed=12) for _ in range(40)]
+        probes = list(zip(rng.uniform(-110, 110, 30).tolist(), rng.uniform(-1, 11, 30).tolist(),
+                          rng.uniform(-3, 3, 30).tolist()))
+
+        def reads(table):
+            return [(lookup_acc(table, c, v), lookup_cmd(table, v, a)) for c, v, a in probes]
+
+        expect = [reads(CalibrationTable(t.speed_grid, t.cmd_grid, t.acc)) for t in tables]
+        errors = []
+        start = threading.Barrier(6)
+
+        def reader(order):
+            start.wait(timeout=10)
+            errors.extend(k for k in order if reads(tables[k]) != expect[k])
+
+        threads = [
+            threading.Thread(target=reader, args=(rng.permutation(len(tables)).tolist(),))
+            for _ in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
 
 
 class TestProjectMonotone:
