@@ -50,8 +50,8 @@ class MlpHyper:
     """Network width and Adam settings.
 
     A fit costs about epochs x samples.  At the defaults, one sign of a
-    20-minute drive log trains in about 0.35 s on ax1 (9k samples) and
-    0.6-0.9 s on mkz (16k-24k samples) on one core.
+    20-minute drive log trains in about 0.25 s on ax1 (9k samples) and
+    0.45-0.7 s on mkz (16k-24k samples) on one core of a 2-vCPU Xeon VM.
     """
 
     hidden: int = 16
@@ -63,10 +63,15 @@ class MlpHyper:
     def __post_init__(self):
         for name in ("hidden", "epochs", "batch"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= 1):
+            if not (_is_integer(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if not (math.isfinite(self.lr) and self.lr > 0.0):
+        if isinstance(self.lr, bool) or not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
+
+
+def _is_integer(value) -> bool:
+    """An int or numpy integer, but not a bool, which Python counts as an int."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _sigmoid(z):
@@ -118,11 +123,26 @@ def train_mlp(samples, hyper: MlpHyper | None = None) -> MlpModel:
     All parameters live in one flat vector ``theta`` laid out layer by
     layer as ``w0 | b0 | w1 | b1 | w2 | b2`` (each weight row-major), and the
     returned model's ``weights`` and ``biases`` are reshaped views into it.
-    The gradient fills a flat vector of the same layout, so one Adam pass
-    over flat moment vectors updates every parameter per step.  Each
-    element sees the same operations in the same order as a separate
-    update per weight and bias array would apply, so the trained net is
-    bit-identical to that per-layer update.
+    So layer ``i`` is one contiguous ``[w_i; b_i]`` block of shape
+    ``(fan_in + 1, fan_out)``.  The standardised inputs and the first
+    hidden layer's activations carry a trailing column of ones, so one
+    matmul with the block gives a hidden layer's pre-activation with its
+    bias added, and one matmul of the transposed input with the layer's
+    delta fills its ``[gw_i; gb_i]`` block of the flat gradient.  The
+    output layer keeps its bias apart: its bias gradient is the pairwise
+    sum of a column, which a matmul would add in another order.  One Adam
+    pass over flat moment vectors then updates every parameter per step.
+
+    The trained net is bit-identical to a separate update per weight and
+    bias array (the per-layer reference in the tests) at every even hidden
+    width from 2 to 16, the default 16 among them, and at the odd widths
+    from 3 to 15 unless a batch has one row.  There numpy's OpenBLAS adds
+    the ones-column product after the sum a bias add would follow, and sums
+    a column in row order as ``np.add.reduce`` does.  At width 1, above 16,
+    and once ``(hidden + 1) * hidden * batch`` exceeds 10**6 (where OpenBLAS
+    leaves its small-matrix kernels) it sums in another order, and the net
+    drifts from that reference in the last bits: at most 1.8e-15 per
+    parameter after 80 epochs in the tests.
     """
     hyper = hyper or MlpHyper()
     arr = as_sample_array(samples)
@@ -139,22 +159,25 @@ def train_mlp(samples, hyper: MlpHyper | None = None) -> MlpModel:
     if np.ptp(y_raw) == 0.0:
         y_std = 0.0
 
-    sizes = [2, hyper.hidden, hyper.hidden, 1]
-    shapes = [s for i in range(3) for s in ((sizes[i], sizes[i + 1]), (sizes[i + 1],))]
+    hidden = hyper.hidden
+    sizes = [2, hidden, hidden, 1]
+    shapes = [(sizes[i] + 1, sizes[i + 1]) for i in range(3)]
     theta = np.zeros(sum(math.prod(s) for s in shapes))
     grad = np.zeros_like(theta)
 
-    def views(flat):
-        """(weights, biases): reshaped views into ``flat``, in theta's layout."""
+    def blocks(flat):
+        """The layers' ``[w_i; b_i]`` blocks: reshaped views into ``flat``."""
         parts, start = [], 0
         for shape in shapes:
             size = math.prod(shape)
             parts.append(flat[start : start + size].reshape(shape))
             start += size
-        return parts[0::2], parts[1::2]
+        return parts
 
-    weights, biases = views(theta)
-    grads_w, grads_b = views(grad)
+    layers = blocks(theta)
+    grads = blocks(grad)
+    weights = [block[:-1] for block in layers]
+    biases = [block[-1] for block in layers]
     rng = np.random.default_rng(hyper.seed)
     for i, w in enumerate(weights):
         w[...] = rng.normal(0.0, 1.0 / np.sqrt(sizes[i]), size=w.shape)
@@ -167,7 +190,11 @@ def train_mlp(samples, hyper: MlpHyper | None = None) -> MlpModel:
         model.first_epoch_mse = model.final_mse = 0.0
         return model
 
-    X = (X_raw - x_mean) / x_std
+    # standardised (cmd, v) and the ones column that adds layer 0's bias
+    Xa = np.ones((len(arr), 3))
+    X = Xa[:, :2]
+    np.subtract(X_raw, x_mean, out=X)
+    X /= x_std
     y = (y_raw - y_mean) / y_std
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -179,11 +206,16 @@ def train_mlp(samples, hyper: MlpHyper | None = None) -> MlpModel:
     # keep at least 8 optimiser steps per epoch on small datasets, otherwise
     # the epoch budget undertrains
     batch = int(min(hyper.batch, max(64, np.ceil(len(X) / 8))))
-    a1_buf = np.empty((batch, hyper.hidden))
-    a2_buf = np.empty((batch, hyper.hidden))
-    d1_buf = np.empty((batch, hyper.hidden))
-    d2_buf = np.empty((batch, hyper.hidden))
+    # the first hidden layer's activations end in a ones column (layer 1's
+    # bias input) and its deltas in a zero column, so the elementwise
+    # products run over whole contiguous buffers
+    a1_buf = np.ones((batch, hidden + 1))
+    d1_buf = np.zeros((batch, hidden + 1))
+    a2_buf = np.empty((batch, hidden))
+    d2_buf = np.empty((batch, hidden))
     out_buf = np.empty((batch, 1))
+    xb_buf = np.empty((batch, 3))
+    yb_buf = np.empty((batch, 1))
 
     def full_mse():
         a1 = _sigmoid(X @ weights[0] + biases[0])
@@ -192,16 +224,19 @@ def train_mlp(samples, hyper: MlpHyper | None = None) -> MlpModel:
 
     for epoch in range(hyper.epochs):
         order = rng.permutation(len(X))
-        X_epoch, y_epoch = X[order], y[order]
         for s in range(0, len(X), batch):
-            xb, yb = X_epoch[s : s + batch], y_epoch[s : s + batch]
-            nb = len(xb)
+            rows = order[s : s + batch]
+            nb = len(rows)
+            xb, yb = xb_buf[:nb], yb_buf[:nb]
             a1, a2, d1, d2, delta = a1_buf[:nb], a2_buf[:nb], d1_buf[:nb], d2_buf[:nb], out_buf[:nb]
-            np.matmul(xb, weights[0], out=a1)
-            a1 += biases[0]
+            # a permutation is always in range, and "clip" writes straight
+            # into out where the default mode goes through a buffer
+            np.take(Xa, rows, axis=0, out=xb, mode="clip")
+            np.take(y, rows, axis=0, out=yb, mode="clip")
+            np.matmul(xb, layers[0], out=a1[:, :hidden])
             _sigmoid(a1)
-            np.matmul(a1, weights[1], out=a2)
-            a2 += biases[1]
+            a1[:, hidden] = 1.0
+            np.matmul(a1, layers[1], out=a2)
             _sigmoid(a2)
             np.matmul(a2, weights[2], out=delta)
             delta += biases[2]
@@ -209,21 +244,20 @@ def train_mlp(samples, hyper: MlpHyper | None = None) -> MlpModel:
             delta -= yb
             delta *= 2.0
             delta /= nb
-            np.matmul(a2.T, delta, out=grads_w[2])
-            np.add.reduce(delta, axis=0, out=grads_b[2])
-            # d2 = (delta @ w2.T) * a2 * (1 - a2), a2 then spent
-            np.matmul(delta, weights[2].T, out=d2)
+            np.matmul(a2.T, delta, out=grads[2][:-1])
+            np.add.reduce(delta, axis=0, out=grads[2][-1])
+            # d2 = (delta w2^T) * a2 * (1 - a2), a2 then spent; the outer
+            # product is one multiply per element, as a matmul's would be
+            np.multiply(delta, weights[2].T, out=d2)
             d2 *= a2
             np.subtract(1.0, a2, out=a2)
             d2 *= a2
-            np.matmul(a1.T, d2, out=grads_w[1])
-            np.add.reduce(d2, axis=0, out=grads_b[1])
-            np.matmul(d2, weights[1].T, out=d1)
+            np.matmul(a1.T, d2, out=grads[1])
+            np.matmul(d2, weights[1].T, out=d1[:, :hidden])
             d1 *= a1
             np.subtract(1.0, a1, out=a1)
             d1 *= a1
-            np.matmul(xb.T, d1, out=grads_w[0])
-            np.add.reduce(d1, axis=0, out=grads_b[0])
+            np.matmul(xb.T, d1[:, :hidden], out=grads[0])
 
             step += 1
             c1 = 1.0 - beta1**step
@@ -356,8 +390,11 @@ def cross_validate(
     excluded (neither sign's model owns them).  Folds are independent, so
     ``workers > 1`` fans them out over processes with unchanged results.
     The process pool is imported only then: ``workers=1`` loads neither
-    ``concurrent.futures`` nor ``multiprocessing``.
+    ``concurrent.futures`` nor ``multiprocessing``.  Raises ValueError
+    unless ``folds`` is an integer >= 2.
     """
+    if not (_is_integer(folds) and folds >= 2):
+        raise ValueError(f"folds must be an integer >= 2, got {folds!r}")
     arr = as_sample_array(samples)
     arr = arr[np.abs(arr[:, 0]) > DEADBAND_CMD]
     if len(arr) < folds:

@@ -186,11 +186,40 @@ class TestTrainMlp:
             pytest.param(1050, MlpHyper(hidden=4, epochs=3, batch=100, seed=0), id="batch100-partial"),
             # the full 512-row batch: 4500 = 8 x 512 + a partial 404
             pytest.param(4500, MlpHyper(hidden=16, epochs=1, seed=1), id="batch512-partial"),
+            # 4097 = 8 x 512 + a 1-row last batch, which numpy routes to gemv
+            pytest.param(4097, MlpHyper(hidden=16, epochs=2, seed=0), id="batch512-one-row"),
+            # the other even widths: ones-column blocks of 3, 7, 9 and 11 rows
+            pytest.param(1050, MlpHyper(hidden=2, epochs=3, batch=100, seed=2), id="h2"),
+            pytest.param(1050, MlpHyper(hidden=6, epochs=3, batch=100, seed=3), id="h6"),
+            pytest.param(1000, MlpHyper(hidden=8, epochs=3, seed=4), id="h8"),
+            pytest.param(1000, MlpHyper(hidden=10, epochs=3, seed=5), id="h10"),
         ],
     )
     def test_equals_per_layer_reference(self, n, hyper):
         arr = sample_grid(np.random.default_rng(20 + n), n, sign="+", noise=0.05)
         assert_same_net(train_mlp(arr, hyper), _reference_train_mlp(arr, hyper))
+
+    @pytest.mark.parametrize(
+        "n, hidden",
+        [
+            # 1, 3 on a 1-row last batch, and 17 drift from the reference:
+            # there OpenBLAS sums the folded bias in another order
+            pytest.param(1000, 1, id="h1"),
+            pytest.param(4097, 3, id="h3-one-row"),
+            pytest.param(1000, 6, id="h6"),
+            pytest.param(1000, 10, id="h10"),
+            pytest.param(1000, 17, id="h17"),
+        ],
+    )
+    def test_near_per_layer_reference_at_any_width(self, n, hidden):
+        # measured after 80 epochs: at most 1.8e-15 per parameter
+        arr = sample_grid(np.random.default_rng(30 + hidden), n, sign="+", noise=0.05)
+        hyper = MlpHyper(hidden=hidden)
+        model, ref = train_mlp(arr, hyper), _reference_train_mlp(arr, hyper)
+        for p, q in zip(model.weights + model.biases, ref.weights + ref.biases, strict=True):
+            assert np.allclose(p, q, rtol=0.0, atol=1e-12)
+        assert model.first_epoch_mse == pytest.approx(ref.first_epoch_mse, rel=0.0, abs=1e-12)
+        assert model.final_mse == pytest.approx(ref.final_mse, rel=0.0, abs=1e-12)
 
     def test_degenerate_equals_per_layer_reference(self):
         arr = sample_grid(np.random.default_rng(21), 200, sign="+")
@@ -224,6 +253,11 @@ class TestTrainMlp:
             pytest.param("epochs", 2.5, id="epochs-fraction"),
             pytest.param("batch", 0, id="batch-zero"),
             pytest.param("hidden", 0, id="hidden-zero"),
+            # bool is an int subclass: hidden=True would train a 1-unit net
+            pytest.param("hidden", True, id="hidden-bool"),
+            pytest.param("epochs", True, id="epochs-bool"),
+            pytest.param("batch", True, id="batch-bool"),
+            pytest.param("lr", True, id="lr-bool"),
         ],
     )
     def test_invalid_hyper_raises(self, field, value):
@@ -323,6 +357,20 @@ class TestCrossValidate:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             cross_validate(np.array([[10.0, 1.0, 0.2]] * 4), folds=10, kind="linear")
+
+    @pytest.mark.parametrize("folds", [0, 1, -3, 2.5, True])
+    def test_bad_fold_count_raises(self, folds, monkeypatch):
+        # before, 0 and -3 gave mae nan with numpy warnings, and 1 raised a
+        # misleading TooFewSamples about missing throttle training data
+        import longcal.offline as offline_mod
+
+        def no_fit(args):
+            raise AssertionError("a fold was fitted")
+
+        monkeypatch.setattr(offline_mod, "_fold_metrics", no_fit)
+        arr = sample_grid(np.random.default_rng(19), 200, noise=0.05)
+        with pytest.raises(ValueError, match="folds"):
+            cross_validate(arr, folds=folds, kind="linear")
 
     def test_nn_beats_linear_on_curved_data(self):
         rng = np.random.default_rng(15)
