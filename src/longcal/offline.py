@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .preprocess import _is_integer
 from .table import CalibrationTable, project_monotone
 
 DEADBAND_CMD = 2.0  # |cmd| below this is idle-creep ambiguity, not training data
@@ -67,11 +68,6 @@ class MlpHyper:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if isinstance(self.lr, bool) or not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
-
-
-def _is_integer(value) -> bool:
-    """An int or numpy integer, but not a bool, which Python counts as an int."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _sigmoid(z):

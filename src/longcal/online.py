@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .preprocess import ACC_MEAS_LIMIT, OnlineFeedback
+from .preprocess import ACC_MEAS_LIMIT, OnlineFeedback, _is_integer
 from .table import CalibrationTable, NonFiniteTable, _monotone_columns, invert
 
 __all__ = [
@@ -44,17 +44,19 @@ class ImplausibleTable(ValueError):
 
 @dataclass(frozen=True)
 class OnlineConfig:
-    """Knobs of the per-cell update law.
+    """Knobs of the per-cell update law, checked at construction.
 
     alpha, beta        distance decay weights for command and speed offsets
-    m_cmd, m_v         even exponents of those offsets
+    m_cmd, m_v         even integer exponents (>= 2) of those offsets
     xi                 small regulariser added to every out-of-window distance
     epsilon, iota      similarity scale and its exponential decay rate
     sigma              learning ratio in (0, 1]: cap on the per-cycle step
                        as a fraction of the observed error
     delta_cmd, delta_v half-widths of the full-strength update window
-    delta_cmd_gap      command perturbation admitted by the history gate
     gamma_v            speed-error threshold below which no update runs
+
+    Every float must be finite and positive, and no value a bool.  The gates
+    before the law use ``preprocess``'s ``STEER_LIMIT`` and ``CMD_GAP``.
     """
 
     alpha: float = 1.0
@@ -67,22 +69,21 @@ class OnlineConfig:
     sigma: float = 0.05
     delta_cmd: float = 5.0
     delta_v: float = 0.2
-    delta_cmd_gap: float = 10.0
     gamma_v: float = 0.05
 
     def __post_init__(self):
         for name in (
-            "alpha", "beta", "xi", "epsilon", "iota", "sigma",
-            "delta_cmd", "delta_v", "delta_cmd_gap", "gamma_v",
+            "alpha", "beta", "xi", "epsilon", "iota", "sigma", "delta_cmd", "delta_v", "gamma_v",
         ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.sigma > 1.0:
             raise ValueError("sigma must lie in (0, 1]")
         for name in ("m_cmd", "m_v"):
             m = getattr(self, name)
-            if m < 2 or m % 2 != 0:
-                raise ValueError(f"{name} must be an even integer >= 2")
+            if not (_is_integer(m) and m >= 2 and m % 2 == 0):
+                raise ValueError(f"{name} must be an even integer >= 2, got {m!r}")
 
 
 def converge_check(v_ref: float, v_actual: float, gamma_v: float) -> bool:

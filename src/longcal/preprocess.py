@@ -1,10 +1,12 @@
 """Data cleaning for calibration: offline log preparation and online feedback gating.
 
-Offline, raw drive logs pass through a fixed pipeline: steering gate, mean
-filter on the IMU channel, grid binning with uniform per-cell downsampling
-and per-cell outlier removal.  Online, per-cycle feedback is delay-aligned
-with the actuator, low-pass filtered, and admitted only when the recent
-command history is steady and the speed/acceleration errors agree in sign.
+Offline, a raw drive log is smoothed (a mean filter on the IMU channel),
+aligned (each frame paired with the command one actuator delay earlier),
+selected (one mask for steady, informative, straight frames) and binned on
+the grid with uniform per-cell downsampling and outlier removal.  Online,
+per-cycle feedback is delay-aligned, low-pass filtered, and admitted only
+when the recent command history is steady and the speed/acceleration
+errors agree in sign.  Both sides share the threshold constants below.
 """
 
 from __future__ import annotations
@@ -52,6 +54,12 @@ class ImplausibleFrame(ValueError):
 # admitted, would step every cell by it through the gain and publish absurd
 # (if finite and monotone) tables.
 ACC_MEAS_LIMIT = 50.0  # m/s^2
+
+STEER_LIMIT = 10.0  # |steering| from which a frame is a turn: dropped offline and online
+CMD_GAP = 10.0  # command spread (%) around an issue time that marks a transition, both sides
+MEAN_WINDOW = 5  # samples in the offline IMU mean filter
+CONSISTENCY_WINDOW = 0.1  # s either side of the issue time that the history gate reads
+FILTER_ORDER, FILTER_CUTOFF_HZ = 3, 2.0  # the online Butterworth low-pass
 
 
 class TimestampNotIncreasing(ValueError):
@@ -153,14 +161,9 @@ def mean_filter(series, window: int) -> np.ndarray:
     return np.convolve(series, kernel, mode="valid")
 
 
-def steering_gate(log: DriveLog, delta_steer: float) -> DriveLog:
-    """Keep only frames with |steering angle| strictly below the threshold."""
-    if delta_steer <= 0:
-        raise ValueError("delta_steer must be positive")
-    keep = np.abs(log.theta) < delta_steer
-    return DriveLog(
-        log.t[keep], log.cmd[keep], log.v[keep], log.acc[keep], log.theta[keep], log.mode[keep]
-    )
+def _is_integer(value) -> bool:
+    """An int or numpy integer, but not a bool, which Python counts as an int."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _outlier_mask(values: np.ndarray) -> np.ndarray:
@@ -209,31 +212,23 @@ class GridBins:
         return np.vstack([self.cells[key] for key in sorted(self.cells)])
 
 
-def bin_and_uniform(
-    log: DriveLog,
-    cmd_grid,
-    speed_grid,
-    cap: int = 50,
-    seed: int = 0,
-    filtered_acc: np.ndarray | None = None,
-) -> GridBins:
-    """Assign samples to nearest grid cells, downsample, and de-outlier.
+def bin_and_uniform(cmd, v, acc, cmd_grid, speed_grid, cap: int = 50, seed: int = 0) -> GridBins:
+    """Assign samples ``(cmd, v, acc)``, three equal-length columns, to nearest grid cells.
 
     Cells holding more than ``cap`` samples are reduced to ``cap`` by a
     seeded uniform draw without replacement, then each cell drops its
-    z-score > 1 outliers.  ``filtered_acc`` substitutes a cleaned IMU
-    channel (same length as the log) for the raw one.
+    z-score > 1 outliers (of ``acc``).  No samples give empty bins.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    if not (_is_integer(cap) and cap >= 1):
+        raise ValueError(f"cap must be an integer >= 1, got {cap!r}")
+    cmd, v, acc = (np.asarray(col, dtype=float) for col in (cmd, v, acc))
+    if not len(cmd) == len(v) == len(acc):
+        raise ValueError("cmd, v and acc must have equal length")
     cmd_grid = np.asarray(cmd_grid, dtype=float)
     speed_grid = np.asarray(speed_grid, dtype=float)
-    acc = log.acc if filtered_acc is None else np.asarray(filtered_acc, dtype=float)
-    if len(acc) != len(log):
-        raise ValueError("filtered_acc must match the log length")
 
-    ci = nearest_cell_index(cmd_grid, log.cmd)
-    vi = nearest_cell_index(speed_grid, log.v)
+    ci = nearest_cell_index(cmd_grid, cmd)
+    vi = nearest_cell_index(speed_grid, v)
     cell_id = ci * len(speed_grid) + vi
     order = np.argsort(cell_id, kind="stable")
     sorted_ids = cell_id[order]
@@ -251,80 +246,65 @@ def bin_and_uniform(
         if len(idx) == 0:
             continue
         key = (int(ci[idx[0]]), int(vi[idx[0]]))
-        bins.cells[key] = np.column_stack([log.cmd[idx], log.v[idx], acc[idx]])
+        bins.cells[key] = np.column_stack([cmd[idx], v[idx], acc[idx]])
     return bins
 
 
 def offline_pipeline(
-    log: DriveLog,
-    cmd_grid,
-    speed_grid,
-    delta_steer: float = 10.0,
-    mean_window: int = 5,
-    cap: int = 50,
-    seed: int = 0,
-    delay: float = 0.2,
-    cmd_gap: float = 10.0,
+    log: DriveLog, cmd_grid, speed_grid, cap: int = 50, seed: int = 0, delay: float = 0.2
 ) -> GridBins:
     """Clean a raw log into binned training cells.
 
-    Stages: the IMU channel is smoothed with the ``mean_window`` samples
+    Stages: the IMU channel is smoothed with the ``MEAN_WINDOW`` samples
     preceding each frame (on the contiguous raw stream, before any frame is
-    dropped), each measurement frame is attributed to the command issued
+    dropped); each measurement frame is attributed to the command issued
     ``delay`` seconds earlier (the actuator is not instantaneous, and hard
     braking sweeps the speed range too fast for same-frame pairing to mean
-    anything), transition frames whose issuing commands moved more than
-    ``cmd_gap`` are discarded, steering frames are gated out, and the rest
-    is binned with per-cell downsampling and outlier removal.
+    anything); one mask keeps the frames that are steady (their issuing
+    commands spread less than ``CMD_GAP``), informative (not braking at
+    standstill) and straight (|steering| below ``STEER_LIMIT``); and those
+    are binned with per-cell downsampling and outlier removal.  ``delay``
+    must be a finite number >= 0 and ``cap`` an integer >= 1, neither a bool.
     """
+    if isinstance(delay, bool) or not (math.isfinite(delay) and delay >= 0.0):
+        raise ValueError(f"delay must be a finite number >= 0, got {delay!r}")
+    if not (_is_integer(cap) and cap >= 1):
+        raise ValueError(f"cap must be an integer >= 1, got {cap!r}")
     cmd_grid = np.asarray(cmd_grid, dtype=float)
     speed_grid = np.asarray(speed_grid, dtype=float)
-    empty = GridBins(cmd_grid, speed_grid)
     if len(log) < 2:
-        return empty
+        return GridBins(cmd_grid, speed_grid)
     dt = float(np.median(np.diff(log.t)))
-    shift = int(round(delay / dt)) if delay > 0 else 0
-    start = shift + mean_window
+    # a delay longer than the log leaves nothing (and delay / dt may overflow)
+    shift = int(round(min(delay / dt, len(log))))
+    start = shift + MEAN_WINDOW
     if len(log) <= start:
-        return empty
-    smoothed = mean_filter(log.acc, mean_window)
+        return GridBins(cmd_grid, speed_grid)
+    smoothed = mean_filter(log.acc, MEAN_WINDOW)
     j = np.arange(start, len(log))
     # a frame is usable only when the commands that produced its smoothing
     # window were steady: cells visited solely mid-transition (full throttle
     # at standstill, say) cannot be measured and stay empty instead of
     # collecting smeared values
-    windows = np.lib.stride_tricks.sliding_window_view(log.cmd, mean_window + 1)
-    steady = np.ptp(windows, axis=1)[j - shift - mean_window] < cmd_gap
-    j = j[steady]
-    if len(j) == 0:
-        return empty
+    windows = np.lib.stride_tricks.sliding_window_view(log.cmd, MEAN_WINDOW + 1)
+    steady = np.ptp(windows, axis=1)[j - shift - MEAN_WINDOW] < CMD_GAP
     # braking at or near standstill pins the IMU at zero no matter the pedal:
     # those frames say nothing about the actuator, and the residual crawl
     # frames straddle the parked/rolling discontinuity, so both are dropped
     v_still = 0.5 * float(speed_grid[1] - speed_grid[0])
     informative = ~((log.cmd[j - shift] < 0.0) & (log.v[j] < v_still))
-    j = j[informative]
-    if len(j) == 0:
-        return empty
-    aligned = DriveLog(
-        log.t[j],
-        log.cmd[j - shift],
-        log.v[j],
-        smoothed[j - mean_window],
-        log.theta[j],
-        log.mode[j],
+    straight = np.abs(log.theta[j]) < STEER_LIMIT
+    j = j[steady & informative & straight]
+    return bin_and_uniform(
+        log.cmd[j - shift], log.v[j], smoothed[j - MEAN_WINDOW], cmd_grid, speed_grid, cap, seed
     )
-    gated = steering_gate(aligned, delta_steer)
-    if len(gated) == 0:
-        return empty
-    return bin_and_uniform(gated, cmd_grid, speed_grid, cap=cap, seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # online feedback preparation
 # ---------------------------------------------------------------------------
 
-def _butter_lowpass(order: int, cutoff_hz: float, sample_rate: float):
+def _butter_lowpass(order: int, cutoff: float, sample_rate: float):
     """Digital Butterworth low-pass: ``(b, a, zi, dc_delay)``.
 
     ``b`` and ``a`` are the transfer-function coefficients, ``zi`` the
@@ -334,7 +314,7 @@ def _butter_lowpass(order: int, cutoff_hz: float, sample_rate: float):
     ``b``, ``a`` and ``zi`` come out bit-equal to SciPy's.
     """
     # analog prototype poles, prewarped for the bilinear transform (fs = 2)
-    warped = 4.0 * math.tan(math.pi * (2.0 * cutoff_hz / sample_rate) / 2.0)
+    warped = 4.0 * math.tan(math.pi * (2.0 * cutoff / sample_rate) / 2.0)
     m = np.arange(-order + 1, order, 2)
     p = -np.exp(1j * math.pi * m / (2 * order)) * warped
     k = warped**order
@@ -356,30 +336,26 @@ def _butter_lowpass(order: int, cutoff_hz: float, sample_rate: float):
 class ButterworthFilter:
     """Causal low-pass filter with per-stream state.
 
-    Third order, 2 Hz cutoff by default, discretised by the bilinear
-    transform.  The design is plain numpy (``_butter_lowpass``), bit-equal
-    to SciPy's ``signal.butter``/``signal.lfilter_zi``.  ``dc_delay`` is the
-    group delay at DC in samples.  State is primed to the steady-state
-    response of the first sample, so a constant stream passes through
-    unchanged from the start and the filter stays linear in its input.  One
-    instance per stream; not thread-safe.
+    Order ``FILTER_ORDER`` (3) with its cutoff at ``FILTER_CUTOFF_HZ``
+    (2 Hz), discretised by the bilinear transform; ``sample_rate`` must be
+    finite and above twice the cutoff.  The design is plain numpy
+    (``_butter_lowpass``), bit-equal to SciPy's
+    ``signal.butter``/``signal.lfilter_zi``.  ``dc_delay`` is the group
+    delay at DC in samples.  State is primed to the steady-state response
+    of the first sample, so a constant stream passes through unchanged from
+    the start and the filter stays linear in its input.  One instance per
+    stream; not thread-safe.
     """
 
-    def __init__(self, sample_rate: float, cutoff_hz: float = 2.0, order: int = 3):
-        if not (isinstance(order, (int, np.integer)) and order >= 1):
-            raise ValueError(f"order must be an integer >= 1, got {order!r}")
-        if not (math.isfinite(cutoff_hz) and cutoff_hz > 0.0):
-            raise ValueError(f"cutoff must be finite and positive, got {cutoff_hz!r}")
-        if not (math.isfinite(sample_rate) and sample_rate > 2.0 * cutoff_hz):
+    def __init__(self, sample_rate: float):
+        if not (math.isfinite(sample_rate) and sample_rate > 2.0 * FILTER_CUTOFF_HZ):
             raise InvalidRate(
                 f"sample rate {sample_rate:g} Hz must be finite and exceed twice the "
-                f"{cutoff_hz:g} Hz cutoff"
+                f"{FILTER_CUTOFF_HZ:g} Hz cutoff"
             )
         self.sample_rate = float(sample_rate)
-        self.cutoff_hz = float(cutoff_hz)
-        self.order = int(order)
         b, a, self._zi_unit, self.dc_delay = _butter_lowpass(
-            self.order, self.cutoff_hz, self.sample_rate
+            FILTER_ORDER, FILTER_CUTOFF_HZ, self.sample_rate
         )
         self._bl = [float(c) for c in b]
         self._al = [float(c) for c in a]
@@ -400,7 +376,7 @@ class ButterworthFilter:
 
 
 def command_consistency_gate(
-    t_hist, cmd_hist, t_ref: float, delta_cmd_gap: float, dt: float, window: float = 0.1
+    t_hist, cmd_hist, t_ref: float, delta_cmd_gap: float, dt: float, window: float = CONSISTENCY_WINDOW
 ) -> bool:
     """True when every command within +-window of t_ref stays near the reference.
 
@@ -468,47 +444,37 @@ class OnlinePreprocessor:
     """Stateful per-cycle gatekeeper turning raw frames into OnlineFeedback.
 
     Pipeline order per cycle: finiteness, plausibility and timestamp
-    checks, mode/steering gate, actuator-delay alignment (a FIFO of issued
-    commands; one that matured more than half a sample before the current
-    frame is dropped), causal Butterworth filtering of the IMU channel
+    checks, mode/steering gate (AUTO mode and |steering| below
+    ``STEER_LIMIT``), actuator-delay alignment (a FIFO of issued commands;
+    one that matured more than half a sample before the current frame is
+    dropped), causal Butterworth filtering of the IMU channel
     (``ButterworthFilter.__call__``, one sample per cycle), then two gates
     that must both pass: the speed/acceleration sign-consistency check, and
-    ``command_consistency_gate`` over the history deques for the +-window
-    around the issue time (a window the history does not yet fill admits
-    nothing).  The sign check runs first: it is the cheaper one, and on a
-    tracking run it refuses about a third of the frames that reach it.
+    ``command_consistency_gate`` with a gap of ``CMD_GAP`` over the history
+    deques for the ``CONSISTENCY_WINDOW`` either side of the issue time (a
+    window the history does not yet fill admits nothing).  The sign check
+    runs first: it is the cheaper one, and on a tracking run it refuses
+    about a third of the frames that reach it.  ``delay`` must be a finite
+    number (not a bool) that covers the consistency window.
     """
 
-    def __init__(
-        self,
-        sample_rate: float,
-        delay: float = 0.2,
-        delta_steer: float = 10.0,
-        delta_cmd_gap: float = 10.0,
-        window: float = 0.1,
-    ):
-        for name, value in (
-            ("delay", delay), ("window", window),
-            ("delta_cmd_gap", delta_cmd_gap), ("delta_steer", delta_steer),
-        ):
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if delay < window:
-            raise ValueError("delay must cover the consistency window")
+    def __init__(self, sample_rate: float, delay: float = 0.2):
+        if isinstance(delay, bool) or not (math.isfinite(delay) and delay >= CONSISTENCY_WINDOW):
+            raise ValueError(
+                f"delay must be a finite number covering the {CONSISTENCY_WINDOW:g} s "
+                f"consistency window, got {delay!r}"
+            )
         # the filter validates the rate, so it is built before dividing by it
         self._filter = ButterworthFilter(sample_rate)
         self.sample_rate = float(sample_rate)
         self.delay = float(delay)
-        self.delta_steer = float(delta_steer)
-        self.delta_cmd_gap = float(delta_cmd_gap)
-        self.window = float(window)
         self._dt = 1.0 / float(sample_rate)
         # the causal low-pass delays the measured acceleration by its group
         # delay; fold that into the pairing constant so a command meets the
         # acceleration it actually caused, not a pre-command reading
         self.delay_total = self.delay + self._filter.dc_delay * self._dt
         self._pending = deque()
-        hist_len = int(round((self.delay_total + window) / self._dt)) + 4
+        hist_len = int(round((self.delay_total + CONSISTENCY_WINDOW) / self._dt)) + 4
         self._t_hist = deque(maxlen=hist_len)
         self._cmd_hist = deque(maxlen=hist_len)
 
@@ -549,7 +515,7 @@ class OnlinePreprocessor:
         if self._t_hist and t <= self._t_hist[-1]:
             raise TimestampNotIncreasing(f"frame at t={t!r} does not follow t={self._t_hist[-1]!r}")
         acc_f = self._filter(acc_meas)
-        auto = (mode == MODE_AUTO) and (abs(theta) < self.delta_steer)
+        auto = (mode == MODE_AUTO) and (abs(theta) < STEER_LIMIT)
         self._t_hist.append(t)
         self._cmd_hist.append(cmd)
         self._pending.append((t, cmd, v, acc_expected, auto))
@@ -568,7 +534,7 @@ class OnlinePreprocessor:
                 continue
             try:
                 steady = command_consistency_gate(
-                    self._t_hist, self._cmd_hist, t_ref, self.delta_cmd_gap, self._dt, self.window
+                    self._t_hist, self._cmd_hist, t_ref, CMD_GAP, self._dt, CONSISTENCY_WINDOW
                 )
             except InsufficientHistory:
                 steady = False

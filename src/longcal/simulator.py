@@ -458,11 +458,7 @@ def run_closed_loop(
     # a static run reads ``table`` as given and as ``invert`` returned it; an
     # online run reads the latest published table both ways
     acc_table, cmd_table = table, invert(table)
-    pre = OnlinePreprocessor(
-        sample_rate=config.sample_rate,
-        delay=config.delay,
-        delta_cmd_gap=(online.delta_cmd_gap if online else 10.0),
-    )
+    pre = OnlinePreprocessor(sample_rate=config.sample_rate, delay=config.delay)
 
     cmd_grid, speed_grid = table.cmd_grid, table.speed_grid
     # (cmd_ref, v_ref) of every marked feedback; their cells are found in one

@@ -85,6 +85,27 @@ class TestOnlineConfig:
         with pytest.raises(ValueError):
             OnlineConfig(sigma=1.5)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # refused at construction, not at the first update (sigma=nan
+            # would raise NonFiniteTable there)
+            pytest.param(dict(sigma=float("nan")), id="sigma-nan"),
+            pytest.param(dict(alpha=float("inf")), id="alpha-inf"),
+            pytest.param(dict(gamma_v=float("nan")), id="gamma_v-nan"),
+            pytest.param(dict(sigma=True), id="sigma-bool"),
+            pytest.param(dict(delta_v=True), id="delta_v-bool"),
+            pytest.param(dict(m_cmd=4.0), id="m_cmd-float"),
+            pytest.param(dict(m_v=np.float64(2.0)), id="m_v-numpy-float"),
+        ],
+    )
+    def test_rejects_non_finite_bool_and_non_integer(self, args):
+        with pytest.raises(ValueError, match=next(iter(args))):
+            OnlineConfig(**args)
+
+    def test_numpy_integer_exponent_accepted(self):
+        assert OnlineConfig(m_cmd=np.int64(4)).m_cmd == 4
+
 
 class TestConvergeCheck:
     def test_equal_speeds(self):

@@ -10,7 +10,10 @@ from scipy.signal import butter, group_delay, lfilter, lfilter_zi
 
 import longcal
 from longcal.preprocess import (
+    CONSISTENCY_WINDOW,
+    MEAN_WINDOW,
     MODE_AUTO,
+    STEER_LIMIT,
     ButterworthFilter,
     DriveLog,
     GridBins,
@@ -28,7 +31,6 @@ from longcal.preprocess import (
     nearest_cell_index,
     offline_pipeline,
     speed_acc_consistency_gate,
-    steering_gate,
 )
 from longcal.simulator import ax1, generate_drive_log
 
@@ -63,19 +65,35 @@ class TestMeanFilter:
 
 
 class TestSteeringGate:
+    """offline_pipeline's steering selection, on a log steady in command and speed."""
+
+    # frames 0..START-1 feed the first frame's delay shift and mean window
+    START = round(0.2 / 0.01) + MEAN_WINDOW
+
+    def kept(self, theta):
+        """Indices of the frames offline_pipeline keeps; each frame's speed encodes its index."""
+        n = len(theta)
+        log = make_log(
+            n=n, cmd=np.full(n, 50.0), v=1.0 + 1e-4 * np.arange(n), acc=np.full(n, 0.5), theta=theta
+        )
+        bins = offline_pipeline(log, np.array([0.0, 50.0, 100.0]), np.array([0.0, 1.0, 2.0]), cap=n)
+        return np.rint((bins.to_samples()[:, 1] - 1.0) / 1e-4).astype(int)
+
     def test_all_straight_retained(self):
-        log = make_log(n=50, theta=np.zeros(50))
-        assert len(steering_gate(log, 10.0)) == 50
+        assert np.array_equal(self.kept(np.zeros(50)), np.arange(self.START, 50))
 
     def test_threshold_is_strict(self):
-        log = make_log(n=3, theta=np.array([0.0, 10.0, -10.0]))
-        out = steering_gate(log, 10.0)
-        assert len(out) == 1
+        below = np.nextafter(STEER_LIMIT, 0.0)
+        theta = np.tile([0.0, STEER_LIMIT, -STEER_LIMIT, below, -below], 20)
+        kept = np.arange(self.START, 100)
+        kept = kept[np.abs(theta[kept]) < STEER_LIMIT]
+        assert len(kept) == 45
+        assert np.array_equal(self.kept(theta), kept)
 
     def test_mixed_log(self):
-        log = make_log(n=3, theta=np.array([0.0, 5.0, 20.0]))
-        out = steering_gate(log, 10.0)
-        assert np.array_equal(out.theta, [0.0, 5.0])
+        theta = np.tile([0.0, 5.0, STEER_LIMIT, 20.0], 25)
+        kept = self.kept(theta)
+        assert np.array_equal(kept, [k for k in range(self.START, 100) if theta[k] in (0.0, 5.0)])
 
 
 class TestRemoveOutliers:
@@ -106,29 +124,22 @@ class TestBinAndUniform:
     def test_counts_unchanged_below_cap(self):
         rng = np.random.default_rng(1)
         n = 60
-        log = make_log(
-            n=n,
-            cmd=rng.uniform(-100, 100, n),
-            v=rng.uniform(0, 3, n),
-            acc=np.zeros(n),
-        )
-        bins = bin_and_uniform(log, np.linspace(-100, 100, 5), np.linspace(0, 3, 4), cap=100)
+        cols = (rng.uniform(-100, 100, n), rng.uniform(0, 3, n), np.zeros(n))
+        bins = bin_and_uniform(*cols, np.linspace(-100, 100, 5), np.linspace(0, 3, 4), cap=100)
         assert bins.counts().sum() == n
 
     def test_cap_semantics(self):
-        log = make_log(n=1000, cmd=np.full(1000, 20.0), v=np.full(1000, 1.0), acc=np.zeros(1000))
-        bins = bin_and_uniform(log, np.linspace(-100, 100, 5), np.linspace(0, 3, 4), cap=100)
+        cols = (np.full(1000, 20.0), np.full(1000, 1.0), np.zeros(1000))
+        bins = bin_and_uniform(*cols, np.linspace(-100, 100, 5), np.linspace(0, 3, 4), cap=100)
         assert bins.counts().sum() == 100
 
     def test_seeded_reproducible(self):
         rng = np.random.default_rng(2)
         n = 500
-        log = make_log(
-            n=n, cmd=rng.uniform(-100, 100, n), v=rng.uniform(0, 3, n), acc=rng.normal(0, 1, n)
-        )
+        cols = (rng.uniform(-100, 100, n), rng.uniform(0, 3, n), rng.normal(0, 1, n))
         grids = (np.linspace(-100, 100, 9), np.linspace(0, 3, 4))
-        a = bin_and_uniform(log, *grids, cap=10, seed=42)
-        b = bin_and_uniform(log, *grids, cap=10, seed=42)
+        a = bin_and_uniform(*cols, *grids, cap=10, seed=42)
+        b = bin_and_uniform(*cols, *grids, cap=10, seed=42)
         assert sorted(a.cells) == sorted(b.cells)
         for key in a.cells:
             assert np.array_equal(a.cells[key], b.cells[key])
@@ -138,10 +149,8 @@ class TestBinAndUniform:
         n = 400
         cmd_grid = np.linspace(-100, 100, 9)
         speed_grid = np.linspace(0, 3, 7)
-        log = make_log(
-            n=n, cmd=rng.uniform(-100, 100, n), v=rng.uniform(0, 3, n), acc=rng.normal(0, 1, n)
-        )
-        bins = bin_and_uniform(log, cmd_grid, speed_grid, cap=100)
+        cols = (rng.uniform(-100, 100, n), rng.uniform(0, 3, n), rng.normal(0, 1, n))
+        bins = bin_and_uniform(*cols, cmd_grid, speed_grid, cap=100)
         half_c = 0.5 * (cmd_grid[1] - cmd_grid[0])
         half_v = 0.5 * (speed_grid[1] - speed_grid[0])
         for (i, j), rows in bins.cells.items():
@@ -166,12 +175,6 @@ class TestButterworth:
     @pytest.mark.parametrize(
         "args, error",
         [
-            pytest.param(dict(cutoff_hz=0.0), ValueError, id="cutoff-0"),
-            pytest.param(dict(cutoff_hz=-1.0), ValueError, id="cutoff-neg"),
-            pytest.param(dict(cutoff_hz=float("nan")), ValueError, id="cutoff-nan"),
-            pytest.param(dict(order=0), ValueError, id="order-0"),
-            pytest.param(dict(order=-1), ValueError, id="order-neg"),
-            pytest.param(dict(order=2.5), ValueError, id="order-frac"),
             pytest.param(dict(sample_rate=0.0), InvalidRate, id="rate-0"),
             pytest.param(dict(sample_rate=float("inf")), InvalidRate, id="rate-inf"),
             pytest.param(dict(sample_rate=float("nan")), InvalidRate, id="rate-nan"),
@@ -297,6 +300,10 @@ class TestSpeedAccConsistencyGate:
 
 
 class TestOfflinePipeline:
+    @pytest.fixture(scope="class")
+    def ax1_log(self):
+        return generate_drive_log(ax1(), duration=60.0, seed=0)
+
     def test_pipeline_applies_all_stages(self):
         rng = np.random.default_rng(6)
         n = 2000
@@ -313,6 +320,30 @@ class TestOfflinePipeline:
         counts = bins.counts()
         assert counts.sum() > 0
         assert counts.max() <= 20
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # none may run: a NaN or negative delay as no shift, True as a
+            # 1 s delay or a cap of one
+            pytest.param(dict(delay=float("nan")), id="delay-nan"),
+            pytest.param(dict(delay=-0.2), id="delay-negative"),
+            pytest.param(dict(delay=float("inf")), id="delay-inf"),
+            pytest.param(dict(delay=True), id="delay-bool"),
+            pytest.param(dict(cap=True), id="cap-bool"),
+            pytest.param(dict(cap=2.5), id="cap-fraction"),
+            pytest.param(dict(cap=0), id="cap-zero"),
+        ],
+    )
+    def test_invalid_arguments_raise(self, args, ax1_log):
+        with pytest.raises(ValueError, match=next(iter(args))):
+            offline_pipeline(ax1_log, *ax1().table_grids(), **args)
+
+    def test_delay_beyond_the_log_keeps_nothing(self, ax1_log):
+        grids = ax1().table_grids()
+        assert offline_pipeline(ax1_log, *grids, delay=60.0).counts().sum() == 0
+        assert offline_pipeline(ax1_log, *grids, delay=1e308).counts().sum() == 0
+        assert offline_pipeline(ax1_log, *grids, delay=0.0).counts().sum() > 0
 
     def test_mean_filter_reduces_noise(self):
         rng = np.random.default_rng(7)
@@ -354,15 +385,14 @@ class TestOnlinePreprocessor:
     @pytest.mark.parametrize(
         "args",
         [
-            pytest.param(dict(delta_cmd_gap=float("nan")), id="delta_cmd_gap-nan"),
-            pytest.param(dict(delta_steer=float("nan")), id="delta_steer-nan"),
-            pytest.param(dict(window=-0.1), id="window-negative"),
             pytest.param(dict(delay=float("nan")), id="delay-nan"),
+            pytest.param(dict(delay=0.5 * CONSISTENCY_WINDOW), id="delay-below-window"),
+            # a bool would pass as a 1 s delay
+            pytest.param(dict(delay=True), id="delay-bool"),
         ],
     )
     def test_invalid_arguments_raise(self, args):
-        # each was accepted before and then admitted nothing, or died on a
-        # bare conversion error
+        # the delay must be a finite number that covers the history window
         with pytest.raises(ValueError, match=next(iter(args))):
             OnlinePreprocessor(sample_rate=100.0, **args)
         assert self.run_stream(OnlinePreprocessor(sample_rate=100.0), self.steady_frames())
@@ -415,7 +445,7 @@ class TestOnlinePreprocessor:
         # nothing issued before the gap is paired with an acceleration after it
         assert {fb.cmd_ref for _, fb in after if fb is not None} == {60.0}
         # nor is anything admitted before the post-gap history fills the window
-        assert admitted_at[0] >= 3.0 + pre.window + pre.delay_total - 0.5 * dt
+        assert admitted_at[0] >= 3.0 + CONSISTENCY_WINDOW + pre.delay_total - 0.5 * dt
         # from the first post-gap command's maturity on, every frame admits
         assert len(admitted_at) == sum(f["t"] >= admitted_at[0] for f in frames[200:])
         assert len(admitted_at) > 150
@@ -450,6 +480,19 @@ class TestOnlinePreprocessor:
             f["theta"] = 25.0
         pre = OnlinePreprocessor(sample_rate=100.0)
         assert self.run_stream(pre, frames) == []
+
+    @pytest.mark.parametrize(
+        "theta, admits",
+        [
+            pytest.param(STEER_LIMIT, False, id="at-limit"),
+            pytest.param(-STEER_LIMIT, False, id="at-minus-limit"),
+            pytest.param(np.nextafter(STEER_LIMIT, 0.0), True, id="just-below"),
+        ],
+    )
+    def test_steering_limit_is_strict(self, theta, admits):
+        frames = [dict(f, theta=theta) for f in self.steady_frames()]
+        out = self.run_stream(OnlinePreprocessor(sample_rate=100.0), frames)
+        assert bool(out) is admits
 
     def test_delay_alignment_pairs_cause_and_effect(self):
         # command steps at t=1.0; the effect (acc jump) appears at t=1.2 in
