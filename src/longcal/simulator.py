@@ -6,6 +6,13 @@ resistance, an actuator FIFO delay, and additive IMU noise.  It stands in
 for the real vehicle both as a data source for offline training and as the
 closed-loop target that scores calibration quality by speed and station
 error under configurable load.
+
+The plant has two stepping paths that do the same float operations per
+frame.  ``Plant.hold`` steps drive logs, a whole dwell of one command per
+call: a 1200 s ax1 log takes 0.07-0.11 s that way against 0.17-0.24 s
+frame by frame.  ``Plant.step`` steps the closed loop, whose command
+changes every cycle: a one-frame ``hold`` costs 3.0-3.2 µs per call against
+0.9 µs for ``step`` (one core of a 2-vCPU x86 VM, CPython 3.11).
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -43,7 +51,13 @@ def _power_law_map(f_max: float, exponent: float = 1.2, step: float = 5.0):
 
 @dataclass(frozen=True)
 class PlantConfig:
-    """Physical constants of the simulated vehicle."""
+    """Physical constants of the simulated vehicle, checked at construction.
+
+    ``mass``, ``sample_rate`` and ``v_max`` must be finite and positive;
+    ``load``, ``drag``, ``rolling``, ``delay`` and ``noise_std`` finite and
+    non-negative, and no value a bool.  The force maps must be finite,
+    matching and monotone.
+    """
 
     mass: float
     load: float = 0.0
@@ -59,12 +73,19 @@ class PlantConfig:
     v_max: float = 3.0  # m/s
 
     def __post_init__(self):
-        if self.mass <= 0 or self.load < 0:
-            raise ValueError("mass must be positive and load non-negative")
-        if self.delay < 0:
-            raise ValueError("delay must be >= 0")
+        for name, positive in (
+            ("mass", True), ("load", False), ("drag", False), ("rolling", False), ("delay", False),
+            ("noise_std", False), ("sample_rate", True), ("v_max", True),
+        ):
+            value = getattr(self, name)
+            in_range = value > 0 if positive else value >= 0
+            if isinstance(value, bool) or not (math.isfinite(value) and in_range):
+                bound = "> 0" if positive else ">= 0"
+                raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
         for name in ("throttle_breaks", "throttle_force", "brake_breaks", "brake_force"):
             arr = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         for breaks, force in (
@@ -186,7 +207,11 @@ class Plant:
         return f if cmd > 0 else -f
 
     def step(self, cmd: float) -> PlantState:
-        """Advance one period with ``cmd`` entering the actuator queue."""
+        """Advance one period with ``cmd`` entering the actuator queue.
+
+        The closed loop's per-cycle path.  Drive logs step through ``hold``,
+        which is slower than this for a single frame (see the module notes).
+        """
         s = self.state
         c = self.config
         if s.queue:
@@ -205,6 +230,48 @@ class Plant:
         s.t += self.dt
         return s
 
+    def hold(self, cmd: float, frames: int, v_cap: float) -> tuple[list, list]:
+        """Hold ``cmd`` for up to ``frames`` periods; return their speeds and accelerations.
+
+        The drive log's path, one call per dwell.  Each frame is
+        bit-identical to a ``step(cmd)``, but the loop runs on local
+        variables, looks the force up only when the effective command
+        changes (once the commands already in the actuator queue have left,
+        it stays ``cmd``) and writes the state once, at the end.  It stops
+        after the first frame whose speed exceeds ``v_cap``.
+        """
+        s = self.state
+        queue = s.queue
+        in_flight = list(islice(queue, frames))  # act before ``cmd`` reaches the plant
+        force = self._force
+        drag, rolling, inv_mass, dt = self.config.drag, self.config.rolling, self._inv_mass, self.dt
+        v, acc, station, t = s.v, s.acc, s.station, s.t
+        last = f = math.nan
+        vs = []
+        accs = []
+        for eff in chain(in_flight, repeat(cmd, frames - len(in_flight))):
+            if eff != last:
+                f = force(eff)
+                last = eff
+            a = (f - drag * v * v - rolling) * inv_mass
+            v_new = v + a * dt
+            if v_new < 0.0:
+                v_new = 0.0
+            acc = (v_new - v) / dt
+            v = v_new
+            station += v_new * dt
+            t += dt
+            vs.append(v)
+            accs.append(acc)
+            if v > v_cap:
+                break
+        # past the queue's length every slot holds ``cmd``
+        for _ in range(min(len(vs), len(queue))):
+            queue.popleft()
+            queue.append(cmd)
+        s.v, s.acc, s.station, s.t = v, acc, station, t
+        return vs, accs
+
 
 # ---------------------------------------------------------------------------
 # scripted driving for offline data generation
@@ -221,9 +288,10 @@ def generate_drive_log(
     dwells steer (exercising the downstream steering gate); IMU noise is
     added per the config.  Deterministic for a given seed.
 
-    The plant steps frame by frame, but the log is written a dwell at a
-    time: one slice write per column, and the dwell's steering noise in one
-    draw of as many values as the dwell took frames, after its last frame.
+    Each dwell is one ``Plant.hold`` call, bit-identical to stepping it
+    frame by frame, and the log is written a dwell at a time: one slice
+    write per column, and the dwell's steering noise in one draw of as many
+    values as the dwell took frames, after its last frame.
     That draw consumes the generator stream exactly as one scalar draw per
     frame does.  Raises ValueError unless ``duration`` is finite and gives
     at least one frame, before any draw.
@@ -237,7 +305,7 @@ def generate_drive_log(
         )
     rng = np.random.default_rng(seed)
     plant = Plant(config)
-    step = plant.step
+    hold = plant.hold
     dt = plant.dt
     v_max = config.v_max
 
@@ -268,14 +336,8 @@ def generate_drive_log(
             cmd = rng.uniform(-4.0, 4.0)
             dwell = rng.uniform(0.4, 1.2)
         theta_target = rng.uniform(10.0, 30.0) * rng.choice([-1.0, 1.0]) if rng.random() < 0.04 else 0.0
-        vs = []
-        accs = []
-        for _ in range(min(max(1, int(round(dwell / dt))), n - k)):
-            s = step(cmd)
-            vs.append(s.v)
-            accs.append(s.acc)
-            if cmd > 0.0 and s.v > v_max:
-                break  # a real driver respects the vehicle's speed limit
+        # a real driver respects the vehicle's speed limit
+        vs, accs = hold(cmd, min(max(1, int(round(dwell / dt))), n - k), v_max if cmd > 0.0 else math.inf)
         end = k + len(vs)
         cmd_col[k:end] = cmd
         v_col[k:end] = vs
@@ -327,8 +389,12 @@ def trapezoid_profile(v_max: float, duration: float) -> SpeedProfile:
 
     Peak speeds rotate through a spread of the usable range so every band
     of the table sees traffic.  Ramps climb and fall at ``0.13 * v_max``
-    per second, scaled to the vehicle's envelope.
+    per second, scaled to the vehicle's envelope.  Raises ValueError unless
+    ``v_max`` and ``duration`` are finite and positive.
     """
+    for name, value in (("v_max", v_max), ("duration", duration)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     accel = 0.13 * v_max  # 0.4 m/s^2 on a 3 m/s vehicle
     peaks = [0.5, 0.85, 1.0, 0.65]
     t_pts = [0.0]

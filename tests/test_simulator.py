@@ -6,11 +6,15 @@ with ``PYTHONPATH=src python tests/test_simulator.py`` only when an output
 is meant to change, and say why in the change.
 """
 
+import dataclasses
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longcal import offline, online, preprocess, simulator
 from longcal.online import OnlineConfig, _cost_matrix
@@ -186,6 +190,48 @@ class TestHostileInput:
         with pytest.raises(ValueError, match="duration"):
             simulator.generate_drive_log(simulator.ax1(load=0.0), duration, seed=0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            pytest.param("mass", float("nan"), id="mass-nan"),
+            pytest.param("mass", float("inf"), id="mass-inf"),
+            pytest.param("mass", True, id="mass-bool"),
+            pytest.param("v_max", 0.0, id="v_max-zero"),
+            pytest.param("sample_rate", 0.0, id="sample_rate-zero"),
+            pytest.param("sample_rate", float("nan"), id="sample_rate-nan"),
+            pytest.param("load", float("inf"), id="load-inf"),
+            pytest.param("load", True, id="load-bool"),
+            pytest.param("delay", float("nan"), id="delay-nan"),
+            pytest.param("delay", float("inf"), id="delay-inf"),
+            pytest.param("drag", float("nan"), id="drag-nan"),
+            pytest.param("rolling", -1.0, id="rolling-negative"),
+            pytest.param("noise_std", -1.0, id="noise_std-negative"),
+            pytest.param("noise_std", float("nan"), id="noise_std-nan"),
+            pytest.param("throttle_force", np.append(np.linspace(0.0, 1200.0, 20), np.nan), id="throttle_force-nan"),
+            pytest.param("brake_breaks", np.append(np.arange(0.0, 100.0, 5.0), np.inf), id="brake_breaks-inf"),
+        ],
+    )
+    def test_plant_config_refuses_bad_constants(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            dataclasses.replace(simulator.ax1(load=0.0), **{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            pytest.param("v_max", 0.0, id="v_max-zero"),
+            pytest.param("v_max", -3.0, id="v_max-negative"),
+            pytest.param("v_max", float("nan"), id="v_max-nan"),
+            pytest.param("v_max", float("inf"), id="v_max-inf"),
+            pytest.param("duration", 0.0, id="duration-zero"),
+            pytest.param("duration", float("nan"), id="duration-nan"),
+            pytest.param("duration", float("inf"), id="duration-inf"),
+        ],
+    )
+    def test_trapezoid_profile_refuses_bad_inputs(self, name, value):
+        args = {"v_max": 3.0, "duration": 10.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            simulator.trapezoid_profile(**args)
+
     def test_drive_log_of_one_frame(self):
         log = simulator.generate_drive_log(simulator.ax1(load=0.0), 0.01, seed=0)
         assert len(log) == 1 and log.t[0] == 0.0
@@ -216,7 +262,47 @@ class TestHostileInput:
         assert np.all(np.isfinite(stepped))
 
 
+def bits(values) -> list:
+    """Floats as ``float.hex``, so that -0.0 and 0.0 differ and equality is bitwise."""
+    return [float(x).hex() for x in values]
+
+
+# full pedal both ways, zero of either sign, coast-sized and any commands
+HOLD_CMDS = st.one_of(
+    st.sampled_from([100.0, -100.0, 0.0, -0.0]), st.floats(-4.0, 4.0), st.floats(-100.0, 100.0)
+)
+# (command, frames, speed cap); a 0.2 s delay keeps 20 frames in flight
+HOLDS = st.lists(
+    st.tuples(HOLD_CMDS, st.integers(1, 150), st.sampled_from([math.inf, 0.3, 1.5, 2.9, 8.0])),
+    min_size=1,
+    max_size=12,
+)
+
+
 class TestPlant:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(preset=st.sampled_from(["ax1", "mkz"]), delay=st.sampled_from([None, 0.0]), holds=HOLDS)
+    def test_hold_equals_repeated_step(self, preset, delay, holds):
+        # ``hold`` is the drive log's path and ``step`` the loop's: a twin
+        # plant stepping each dwell frame by frame must match it bit for bit
+        config = simulator.ax1(load=0.0) if preset == "ax1" else simulator.mkz(load=600.0)
+        if delay is not None:
+            config = dataclasses.replace(config, delay=delay)
+        held, stepped = simulator.Plant(config), simulator.Plant(config)
+        for cmd, frames, v_cap in holds:
+            vs, accs = held.hold(cmd, frames, v_cap)
+            want_v, want_acc = [], []
+            for _ in range(frames):
+                s = stepped.step(cmd)
+                want_v.append(s.v)
+                want_acc.append(s.acc)
+                if s.v > v_cap:
+                    break
+            assert (bits(vs), bits(accs)) == (bits(want_v), bits(want_acc))
+            a, b = held.state, stepped.state
+            assert bits([a.t, a.v, a.station, a.acc]) == bits([b.t, b.v, b.station, b.acc])
+            assert bits(a.queue) == bits(b.queue)
+
     def test_true_table_monotone(self):
         for preset in simulator.PRESETS.values():
             assert preset(load=0.0).true_table().is_monotone()
