@@ -7,6 +7,14 @@ the cell's distance from the feedback point and with how far the pristine
 initial table already sits from the measurement.  Cells inside a small
 window around the feedback point update at full strength.
 
+The law has one setting, the learning ratio ``OnlineConfig.sigma``, because
+the measurements that judge the loop's stability sweep it.  The rest of the
+law is fixed by the module constants below, the one value every caller used
+for each: ``XI`` regularises the distance cost, ``DELTA_CMD`` and
+``DELTA_V`` are the half-widths of the full-strength window (one grid step
+each on the default grids), and ``GAMMA_V`` is the speed error within which
+a cycle counts as converged and runs no update.
+
 Feedback arrives already gated by ``OnlinePreprocessor.push``, which runs
 the one command-consistency gate.  The columns a step leaves decreasing
 are repaired together, by one batched isotonic pass in ``table``, and a
@@ -24,15 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .preprocess import ACC_MEAS_LIMIT, OnlineFeedback, _is_integer
+from .preprocess import ACC_MEAS_LIMIT, OnlineFeedback
 from .table import CalibrationTable, NonFiniteTable, _monotone_columns, invert
 
 __all__ = [
     "ImplausibleTable",
     "OnlineConfig",
     "OnlineCalibrator",
-    "converge_check",
-    "compute_gain",
     "update_table",
     "publish",
 ]
@@ -42,63 +48,34 @@ class ImplausibleTable(ValueError):
     """A table to publish promises an acceleration beyond ``ACC_MEAS_LIMIT``."""
 
 
+XI = 1e-8  # added to every out-of-window distance cost
+DELTA_CMD = 5.0  # % of command: half-width of the full-strength window
+DELTA_V = 0.2  # m/s: half-width of the full-strength window
+GAMMA_V = 0.05  # m/s: speed error at or below which a cycle runs no update
+
+
 @dataclass(frozen=True)
 class OnlineConfig:
-    """Knobs of the per-cell update law, checked at construction.
+    """The update law's one setting, checked at construction.
 
-    alpha, beta        distance decay weights for command and speed offsets
-    m_cmd, m_v         even integer exponents (>= 2) of those offsets
-    xi                 small regulariser added to every out-of-window distance
-    epsilon, iota      similarity scale and its exponential decay rate
-    sigma              learning ratio in (0, 1]: cap on the per-cycle step
-                       as a fraction of the observed error
-    delta_cmd, delta_v half-widths of the full-strength update window
-    gamma_v            speed-error threshold below which no update runs
+    sigma   learning ratio in (0, 1]: cap on the per-cycle step as a
+            fraction of the observed error
 
-    Every float must be finite and positive, and no value a bool.  The gates
-    before the law use ``preprocess``'s ``STEER_LIMIT`` and ``CMD_GAP``.
+    ``sigma`` must be a finite number, not a bool.  It stays settable
+    because the loop's stability is judged by sweeping it (from 0.2 up,
+    some runs diverge).  Every other value had one value in use and is a
+    constant: the cost shape, window and convergence gate here (``XI``,
+    ``DELTA_CMD``, ``DELTA_V``, ``GAMMA_V``), the run's divergence guard
+    (``simulator.DIVERGE_LIMIT``) and the gates before the law
+    (``preprocess``'s ``STEER_LIMIT`` and ``CMD_GAP``).
     """
 
-    alpha: float = 1.0
-    beta: float = 1.0
-    m_cmd: int = 2
-    m_v: int = 2
-    xi: float = 1e-8
-    epsilon: float = 1.0
-    iota: float = 1.0
     sigma: float = 0.05
-    delta_cmd: float = 5.0
-    delta_v: float = 0.2
-    gamma_v: float = 0.05
 
     def __post_init__(self):
-        for name in (
-            "alpha", "beta", "xi", "epsilon", "iota", "sigma", "delta_cmd", "delta_v", "gamma_v",
-        ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if self.sigma > 1.0:
-            raise ValueError("sigma must lie in (0, 1]")
-        for name in ("m_cmd", "m_v"):
-            m = getattr(self, name)
-            if not (_is_integer(m) and m >= 2 and m % 2 == 0):
-                raise ValueError(f"{name} must be an even integer >= 2, got {m!r}")
-
-
-def converge_check(v_ref: float, v_actual: float, gamma_v: float) -> bool:
-    """True when expected and actual speed agree within gamma_v: skip the cycle."""
-    return abs(v_ref - v_actual) <= gamma_v
-
-
-def compute_gain(acc_ref: float, acc_k: float) -> float:
-    """Expected minus measured acceleration: the raw error driving the update.
-
-    Positive gain means the table promised more than the vehicle delivered
-    (a sluggish plant, for example under extra load), so the affected cells
-    must come down toward the measurement.
-    """
-    return acc_ref - acc_k
+        sigma = self.sigma
+        if isinstance(sigma, bool) or not (math.isfinite(sigma) and 0.0 < sigma <= 1.0):
+            raise ValueError(f"sigma must be finite and lie in (0, 1], got {sigma!r}")
 
 
 def _span(grid: list[float], x: float, half: float) -> slice:
@@ -116,23 +93,22 @@ def _span(grid: list[float], x: float, half: float) -> slice:
     return slice(lo, hi)
 
 
-def _window(table: CalibrationTable, feedback: OnlineFeedback, cfg: OnlineConfig) -> tuple[slice, slice]:
+def _window(table: CalibrationTable, feedback: OnlineFeedback) -> tuple[slice, slice]:
     """(rows, columns) of the full-strength window around the feedback point.
 
-    A cell is inside when ``|cmd_ref - cmd_grid[i]|`` is within delta_cmd
-    and ``|v_ref - speed_grid[j]|`` within delta_v: these are the cells
-    ``_cost_matrix`` gives zero cost.
+    A cell is inside when ``|cmd_ref - cmd_grid[i]|`` is within
+    ``DELTA_CMD`` and ``|v_ref - speed_grid[j]|`` within ``DELTA_V``: these
+    are the cells ``_cost_matrix`` gives zero cost.
     """
     return (
-        _span(table._cmd, feedback.cmd_ref, cfg.delta_cmd),
-        _span(table._speed, feedback.v_ref, cfg.delta_v),
+        _span(table._cmd, feedback.cmd_ref, DELTA_CMD),
+        _span(table._speed, feedback.v_ref, DELTA_V),
     )
 
 
 def _cost_matrix(
     init_table: CalibrationTable,
     feedback: OnlineFeedback,
-    cfg: OnlineConfig,
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -140,15 +116,15 @@ def _cost_matrix(
 
     The offsets ``d_cmd`` and ``d_v`` run from each grid point to the
     feedback point ``(cmd_ref, v_ref)``.  Inside the window (``_window``:
-    ``|d_cmd|`` within delta_cmd and ``|d_v|`` within delta_v) the distance
-    term collapses to zero, so the cell takes the full step regardless of
-    similarity.  Far cells pay a polynomial distance cost,
-    ``alpha * d_cmd**m_cmd + beta * d_v**m_v + xi``, scaled by the
-    similarity ``epsilon * exp(-iota * |init acc - acc_k|)``: the closer the
-    initial table already matches the measured acceleration, the more a far
-    cell resists change.  The window requires both offsets small; widening
-    it to either offset lets every feedback drag whole rows and columns of
-    unrelated cells at full strength, which destabilises the loop.
+    ``|d_cmd|`` within ``DELTA_CMD`` and ``|d_v|`` within ``DELTA_V``) the
+    distance term collapses to zero, so the cell takes the full step
+    regardless of similarity.  Far cells pay the distance cost
+    ``d_cmd**2 + d_v**2 + XI``, scaled by the similarity
+    ``exp(-|init acc - acc_k|)``: the closer the initial table already
+    matches the measured acceleration, the more a far cell resists change.
+    The window requires both offsets small; widening it to either offset
+    lets every feedback drag whole rows and columns of unrelated cells at
+    full strength, which destabilises the loop.
 
     The similarity depends on ``acc_k``, so no part of the matrix but the
     grid offsets carries over between updates.  The cost is written into
@@ -161,14 +137,13 @@ def _cost_matrix(
     work = np.empty(shape) if work is None else work
     d_cmd = feedback.cmd_ref - init_table.cmd_grid
     d_v = feedback.v_ref - init_table.speed_grid
-    np.add((cfg.alpha * d_cmd**cfg.m_cmd)[:, None], cfg.beta * d_v**cfg.m_v, out=out)
-    out += cfg.xi
-    out[_window(init_table, feedback, cfg)] = 0.0
+    np.add((d_cmd * d_cmd)[:, None], d_v * d_v, out=out)
+    out += XI
+    out[_window(init_table, feedback)] = 0.0
     np.subtract(init_table.acc, feedback.acc_k, out=work)
     np.abs(work, out=work)
-    work *= -cfg.iota
+    np.negative(work, out=work)
     np.exp(work, out=work)
-    work *= cfg.epsilon
     out *= work
     return out
 
@@ -184,15 +159,20 @@ def update_table(state: OnlineCalibrator, feedback: OnlineFeedback, cfg: OnlineC
     the old table is left untouched.  A gain that is not finite (finite
     but huge feedback overflows it) raises NonFiniteTable before any array
     work, the same refusal ``publish`` would make of the result.
+
+    The gain is expected minus measured acceleration.  It is positive when
+    the vehicle delivered less than the table promised (a sluggish plant,
+    for example under extra load), so the affected cells come down toward
+    the measurement.
     """
-    gain = compute_gain(feedback.acc_ref, feedback.acc_k)
+    gain = feedback.acc_ref - feedback.acc_k
     if not math.isfinite(gain):
         raise NonFiniteTable(f"feedback gain {gain!r} is not finite")
     old = state.table
     if gain == 0.0:
         return old
     # the step is formed in the calibrator's cost buffer, in place
-    step = _cost_matrix(state.init_table, feedback, cfg, state._cost, state._work)
+    step = _cost_matrix(state.init_table, feedback, state._cost, state._work)
     step += 1.0
     np.divide(cfg.sigma * gain, step, out=step)
     acc = _monotone_columns(np.subtract(old.acc, step))
@@ -257,9 +237,8 @@ class OnlineCalibrator:
     def step(self, v_expected: float, v_actual: float, feedback: OnlineFeedback | None) -> bool:
         """Run one cycle; returns True when a new table was published."""
         self.cycle += 1
-        if converge_check(v_expected, v_actual, self.cfg.gamma_v):
-            return False
-        if feedback is None:
+        # converged: expected and actual speed agree within GAMMA_V
+        if abs(v_expected - v_actual) <= GAMMA_V or feedback is None:
             return False
         new_table = update_table(self, feedback, self.cfg)
         if new_table is self.table:

@@ -45,7 +45,7 @@ class NonFiniteFrame(ValueError):
 
 
 class ImplausibleFrame(ValueError):
-    """An online frame's measured or expected acceleration is finite but beyond any vehicle's."""
+    """An online frame's command or acceleration is finite but beyond any vehicle's."""
 
 
 # |acc_meas| or |acc_expected| above this is no vehicle's acceleration but a
@@ -54,6 +54,9 @@ class ImplausibleFrame(ValueError):
 # admitted, would step every cell by it through the gain and publish absurd
 # (if finite and monotone) tables.
 ACC_MEAS_LIMIT = 50.0  # m/s^2
+# |cmd| above this lies off the table's command axis (full pedal either way):
+# the tracking loop clamps its command to it, and a frame beyond it is corrupt
+CMD_LIMIT = 100.0  # %
 
 STEER_LIMIT = 10.0  # |steering| from which a frame is a turn: dropped offline and online
 CMD_GAP = 10.0  # command spread (%) around an issue time that marks a transition, both sides
@@ -375,25 +378,26 @@ class ButterworthFilter:
         return y
 
 
-def command_consistency_gate(
-    t_hist, cmd_hist, t_ref: float, delta_cmd_gap: float, dt: float, window: float = CONSISTENCY_WINDOW
-) -> bool:
-    """True when every command within +-window of t_ref stays near the reference.
+def command_consistency_gate(t_hist, cmd_hist, t_ref: float, dt: float) -> bool:
+    """True when every command near t_ref stays within ``CMD_GAP`` of the reference.
 
+    The window read is ``CONSISTENCY_WINDOW`` either side of t_ref.
     ``t_hist`` must be increasing, sampled every ``dt`` seconds.  The
     reference command is the history value nearest ``t_ref`` (the earlier one
     on a tie).  Plain Python over any indexable sequence, so the online
     preprocessor passes its history deques as they are, once per control
     cycle.  Raises InsufficientHistory unless the samples inside the window
     reach both of its ends (within half a sample) and miss at most one of its
-    ``round(2 * window / dt) + 1`` frames: a frame ``push`` refused leaves
-    such a one-sample hole, while a jump in the clock leaves an edge empty.
+    ``round(2 * CONSISTENCY_WINDOW / dt) + 1`` frames: a frame ``push``
+    refused leaves such a one-sample hole, while a jump in the clock leaves
+    an edge empty.
 
     Only the window's start is searched over the whole history; its end and
     the sample nearest ``t_ref`` lie at or after that start (and the nearest
     at or before the end), so both searches run inside the range already
     found, and the window's commands are read in one slice.
     """
+    window = CONSISTENCY_WINDOW
     lo = bisect_left(t_hist, t_ref - window - 1e-12)
     hi = bisect_right(t_hist, t_ref + window + 1e-12, lo)
     if (
@@ -411,7 +415,7 @@ def command_consistency_gate(
     # max(c) - ref rounds to max over c of (c - ref): float subtraction is
     # monotone, so this is |c - ref| < gap for every c in the window
     cmds = list(islice(cmd_hist, lo, hi))
-    return max(cmds) - cmd_ref < delta_cmd_gap and cmd_ref - min(cmds) < delta_cmd_gap
+    return max(cmds) - cmd_ref < CMD_GAP and cmd_ref - min(cmds) < CMD_GAP
 
 
 def speed_acc_consistency_gate(v_ref: float, v_k: float, a_ref: float, a_k: float) -> bool:
@@ -494,16 +498,20 @@ class OnlinePreprocessor:
         ``cmd`` is the command issued this cycle, ``acc_expected`` the
         acceleration the table predicts for it, ``v_expected`` the desired
         speed right now, and ``acc_meas`` the raw IMU reading.  A frame with
-        a non-finite number raises NonFiniteFrame, one whose ``acc_meas`` or
-        ``acc_expected`` exceeds ``ACC_MEAS_LIMIT`` in magnitude raises
-        ImplausibleFrame, and one whose ``t`` is not later than the previous
-        frame's raises TimestampNotIncreasing; each leaves the filter and the
-        history as they were, so the next valid frame carries on.  After a forward jump
-        in ``t``, the commands whose delay matured inside the jump are
-        dropped unadmitted.
+        a non-finite number raises NonFiniteFrame, one whose ``cmd`` exceeds
+        ``CMD_LIMIT`` or whose ``acc_meas`` or ``acc_expected`` exceeds
+        ``ACC_MEAS_LIMIT`` in magnitude raises ImplausibleFrame, and one
+        whose ``t`` is not later than the previous frame's raises
+        TimestampNotIncreasing; each leaves the filter and the history as
+        they were, so the next valid frame carries on.  ``v`` is checked for
+        finiteness only: every table read clamps speed to the grid.  After a
+        forward jump in ``t``, the commands whose delay matured inside the
+        jump are dropped unadmitted.
         """
         if not all(map(math.isfinite, (t, cmd, v, acc_meas, acc_expected, v_expected, theta))):
             raise NonFiniteFrame(f"frame at t={t!r} holds a non-finite value")
+        if abs(cmd) > CMD_LIMIT:
+            raise ImplausibleFrame(f"frame at t={t!r} commands {cmd!r} %, beyond {CMD_LIMIT:g}")
         if abs(acc_meas) > ACC_MEAS_LIMIT:
             raise ImplausibleFrame(
                 f"frame at t={t!r} measures {acc_meas!r} m/s^2, beyond {ACC_MEAS_LIMIT:g}"
@@ -533,9 +541,7 @@ class OnlinePreprocessor:
             if not speed_acc_consistency_gate(v_expected, v, acc_ref, acc_f):
                 continue
             try:
-                steady = command_consistency_gate(
-                    self._t_hist, self._cmd_hist, t_ref, CMD_GAP, self._dt, CONSISTENCY_WINDOW
-                )
+                steady = command_consistency_gate(self._t_hist, self._cmd_hist, t_ref, self._dt)
             except InsufficientHistory:
                 steady = False
             if not steady:

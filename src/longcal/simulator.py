@@ -25,8 +25,8 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .online import OnlineCalibrator, OnlineConfig, _window, compute_gain
-from .preprocess import MODE_AUTO, MODE_MANUAL, DriveLog, OnlinePreprocessor, nearest_cell_index
+from .online import OnlineCalibrator, OnlineConfig, _window
+from .preprocess import CMD_LIMIT, MODE_AUTO, MODE_MANUAL, DriveLog, OnlinePreprocessor, nearest_cell_index
 from .table import CalibrationTable, default_cmd_grid, default_speed_grid, invert, lookup_acc, lookup_cmd
 
 
@@ -277,6 +277,18 @@ class Plant:
 # scripted driving for offline data generation
 # ---------------------------------------------------------------------------
 
+def _frame_count(duration: float, sample_rate: float) -> int:
+    """Frames in ``duration`` seconds; ValueError unless it is finite and gives at least one."""
+    frames = duration * sample_rate
+    n = int(round(frames)) if math.isfinite(frames) else 0
+    if n < 1:
+        raise ValueError(
+            f"duration must be finite and give at least one frame at {sample_rate} Hz, "
+            f"got {duration!r}"
+        )
+    return n
+
+
 def generate_drive_log(
     config: PlantConfig, duration: float = 1200.0, seed: int = 0
 ) -> DriveLog:
@@ -296,13 +308,7 @@ def generate_drive_log(
     frame does.  Raises ValueError unless ``duration`` is finite and gives
     at least one frame, before any draw.
     """
-    frames = duration * config.sample_rate
-    n = int(round(frames)) if math.isfinite(frames) else 0
-    if n < 1:
-        raise ValueError(
-            f"duration must be finite and give at least one frame at "
-            f"{config.sample_rate} Hz, got {duration!r}"
-        )
+    n = _frame_count(duration, config.sample_rate)
     rng = np.random.default_rng(seed)
     plant = Plant(config)
     hold = plant.hold
@@ -489,6 +495,7 @@ class RunResult:
 
 KP = 0.8  # command % per m/s of speed error
 KI = 0.1
+DIVERGE_LIMIT = 5.0  # m/s of speed error that, held for a second, ends a run
 
 
 def run_closed_loop(
@@ -498,25 +505,26 @@ def run_closed_loop(
     duration: float | None = None,
     online: OnlineConfig | None | bool = None,
     seed: int = 0,
-    diverge_limit: float = 5.0,
 ) -> RunResult:
     """Track the profile with feedforward from the table plus PI correction.
 
     With ``online`` set (an OnlineConfig, or True for defaults) the table
     adapts every cycle from gated feedback; otherwise it stays frozen.  The
-    controller always reads the latest published snapshot.  Raises Diverged
-    when the speed error exceeds ``diverge_limit`` for a sustained second,
-    and NonFiniteCommand, before the plant steps, when the clamped command
-    is NaN (an infinite one clamps to ±100).
+    controller always reads the latest published snapshot.  Raises
+    ValueError, before any set-up, unless ``duration`` (the profile's by
+    default) is finite and gives at least one cycle; Diverged when the
+    speed error exceeds ``DIVERGE_LIMIT`` for a sustained second; and
+    NonFiniteCommand, before the plant steps, when the command clamped to
+    ``CMD_LIMIT`` is NaN (an infinite one clamps to the limit).
     """
     import time as _time
 
+    duration = profile.duration if duration is None else duration
+    n = _frame_count(duration, config.sample_rate)
     if online is True:
         online = OnlineConfig()
-    duration = profile.duration if duration is None else duration
     plant = Plant(config)
     dt = plant.dt
-    n = int(round(duration * config.sample_rate))
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, config.noise_std, n) if config.noise_std > 0 else np.zeros(n)
 
@@ -556,10 +564,10 @@ def run_closed_loop(
         integral += err * dt
         ff = lookup_cmd(cmd_table, v, acc_des)
         cmd = ff + KP * err + KI * integral
-        if cmd > 100.0:
-            cmd = 100.0
-        elif cmd < -100.0:
-            cmd = -100.0
+        if cmd > CMD_LIMIT:
+            cmd = CMD_LIMIT
+        elif cmd < -CMD_LIMIT:
+            cmd = -CMD_LIMIT
         elif cmd != cmd:
             # NaN fails both clamp comparisons; only unclamped cycles pay this one
             raise NonFiniteCommand(f"command is NaN at t={t:.2f}s (feedforward {ff!r})")
@@ -585,7 +593,7 @@ def run_closed_loop(
             marked += 1
         if updated:
             latencies.append(elapsed)
-            rows, cols = _window(cal.init_table, feedback, cal.cfg)
+            rows, cols = _window(cal.init_table, feedback)
             events.append(
                 OnlineSessionEvent(
                     cycle=cal.cycle,
@@ -594,7 +602,7 @@ def run_closed_loop(
                     v_ref=feedback.v_ref,
                     acc_ref=feedback.acc_ref,
                     acc_k=feedback.acc_k,
-                    gain=compute_gain(feedback.acc_ref, feedback.acc_k),
+                    gain=feedback.acc_ref - feedback.acc_k,
                     updated_cells=(rows.stop - rows.start) * (cols.stop - cols.start),
                     revision=cal.revision,
                 )
@@ -609,12 +617,12 @@ def run_closed_loop(
         sdes_col[k] = station_des
         s_col[k] = s.station
 
-        if abs(v_des - s.v) > diverge_limit:
+        if abs(v_des - s.v) > DIVERGE_LIMIT:
             if diverged_since is None:
                 diverged_since = t
             elif t - diverged_since >= 1.0:
                 raise Diverged(
-                    f"speed error above {diverge_limit} m/s for 1 s at t={t:.2f}s"
+                    f"speed error above {DIVERGE_LIMIT} m/s for 1 s at t={t:.2f}s"
                 )
         else:
             diverged_since = None

@@ -1,5 +1,6 @@
 """Online update law: gates, costs, table steps, and atomic publication."""
 
+import dataclasses
 import math
 import threading
 
@@ -12,11 +13,12 @@ from scipy.optimize import isotonic_regression
 import longcal.online
 import longcal.table
 from longcal.online import (
+    DELTA_CMD,
+    DELTA_V,
+    XI,
     ImplausibleTable,
     OnlineCalibrator,
     OnlineConfig,
-    compute_gain,
-    converge_check,
     publish,
     update_table,
     _cost_matrix,
@@ -34,17 +36,15 @@ def grid_table(n_cmd=41, n_speed=16, v_max=3.0, slope=0.03):
     return CalibrationTable(speed, cmd, acc)
 
 
-def _reference_cell_cost(init_table, i, j, feedback, cfg):
+def _reference_cell_cost(init_table, i, j, feedback):
     """The cost law for one cell in plain floats: the reference for ``_cost_matrix``."""
     d_cmd = feedback.cmd_ref - float(init_table.cmd_grid[i])
     d_v = feedback.v_ref - float(init_table.speed_grid[j])
-    if abs(d_cmd) <= cfg.delta_cmd and abs(d_v) <= cfg.delta_v:
+    if abs(d_cmd) <= DELTA_CMD and abs(d_v) <= DELTA_V:
         distance = 0.0
     else:
-        distance = cfg.alpha * d_cmd**cfg.m_cmd + cfg.beta * d_v**cfg.m_v + cfg.xi
-    similarity = cfg.epsilon * math.exp(
-        -cfg.iota * abs(float(init_table.acc[i, j]) - feedback.acc_k)
-    )
+        distance = d_cmd**2 + d_v**2 + XI
+    similarity = math.exp(-abs(float(init_table.acc[i, j]) - feedback.acc_k))
     return distance * similarity
 
 
@@ -67,19 +67,16 @@ def test_all_names_exist(module, name):
 
 class TestOnlineConfig:
     def test_defaults_valid(self):
+        # the learning ratio is the law's one setting
         cfg = OnlineConfig()
-        assert cfg.xi == 1e-8
+        assert [f.name for f in dataclasses.fields(cfg)] == ["sigma"]
         assert 0 < cfg.sigma <= 1
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            OnlineConfig(alpha=0.0)
+            OnlineConfig(sigma=0.0)
         with pytest.raises(ValueError):
-            OnlineConfig(gamma_v=-1.0)
-
-    def test_rejects_odd_exponent(self):
-        with pytest.raises(ValueError):
-            OnlineConfig(m_cmd=3)
+            OnlineConfig(sigma=-1.0)
 
     def test_rejects_sigma_above_one(self):
         with pytest.raises(ValueError):
@@ -91,126 +88,151 @@ class TestOnlineConfig:
             # refused at construction, not at the first update (sigma=nan
             # would raise NonFiniteTable there)
             pytest.param(dict(sigma=float("nan")), id="sigma-nan"),
-            pytest.param(dict(alpha=float("inf")), id="alpha-inf"),
-            pytest.param(dict(gamma_v=float("nan")), id="gamma_v-nan"),
+            pytest.param(dict(sigma=float("inf")), id="sigma-inf"),
             pytest.param(dict(sigma=True), id="sigma-bool"),
-            pytest.param(dict(delta_v=True), id="delta_v-bool"),
-            pytest.param(dict(m_cmd=4.0), id="m_cmd-float"),
-            pytest.param(dict(m_v=np.float64(2.0)), id="m_v-numpy-float"),
         ],
     )
     def test_rejects_non_finite_bool_and_non_integer(self, args):
         with pytest.raises(ValueError, match=next(iter(args))):
             OnlineConfig(**args)
 
-    def test_numpy_integer_exponent_accepted(self):
-        assert OnlineConfig(m_cmd=np.int64(4)).m_cmd == 4
-
 
 class TestConvergeCheck:
+    """``OnlineCalibrator.step`` skips a cycle whose speed error is within ``GAMMA_V``."""
+
+    def step(self, v_actual):
+        cal = OnlineCalibrator(grid_table())
+        published = cal.step(2.0, v_actual, fb(acc_ref=0.9, acc_k=0.2))
+        assert cal.cycle == 1 and cal.revision == int(published)
+        return published
+
     def test_equal_speeds(self):
-        assert converge_check(2.0, 2.0, 0.05) is True
+        assert self.step(2.0) is False
 
     def test_boundary_inclusive(self):
-        assert converge_check(2.0, 2.05, 0.05) is True
+        assert self.step(2.05) is False
 
     def test_just_outside(self):
-        assert converge_check(2.0, 2.06, 0.05) is False
+        assert self.step(2.06) is True
 
 
 class TestComputeGain:
+    """The gain ``update_table`` steps by: expected minus measured acceleration."""
+
     def test_zero(self):
-        assert compute_gain(0.4, 0.4) == 0.0
+        # the promise kept: nothing to learn, and nothing published
+        cal = OnlineCalibrator(grid_table())
+        assert cal.step(2.0, 1.0, fb(acc_ref=0.4, acc_k=0.4)) is False
+        assert cal.revision == 0
 
     def test_direct_subtraction(self):
-        assert compute_gain(1.0, 0.4) == pytest.approx(0.6)
+        # the window's cells take the full step, sigma * (acc_ref - acc_k)
+        table = grid_table()
+        cfg = OnlineConfig()
+        new = update_table(OnlineCalibrator(table), fb(acc_ref=1.0, acc_k=0.4), cfg)
+        window = _window(table, fb())
+        delta = (table.acc - new.acc)[window]
+        np.testing.assert_allclose(delta, cfg.sigma * 0.6, rtol=0.0, atol=1e-12)
 
     def test_sluggish_vehicle_positive(self):
-        # promised 0.5, delivered 0.2: positive gain, cells must come down
-        assert compute_gain(0.5, 0.2) > 0
+        # promised 0.5, delivered 0.2: a positive gain, and the window's cells come down
+        table = grid_table()
+        new = update_table(OnlineCalibrator(table), fb(acc_ref=0.5, acc_k=0.2), OnlineConfig())
+        window = _window(table, fb())
+        assert np.all(new.acc[window] < table.acc[window])
 
 
 class TestCellCost:
     def test_window_cell_zero_cost(self):
         table = grid_table()
-        cfg = OnlineConfig()
         i = int(np.argmin(np.abs(table.cmd_grid - 20.0)))
         j = int(np.argmin(np.abs(table.speed_grid - 1.0)))
         feedback = fb(cmd_ref=float(table.cmd_grid[i]), v_ref=float(table.speed_grid[j]),
                       acc_k=float(table.acc[i, j]))
         state = OnlineCalibrator(table)
-        assert _cost_matrix(state.init_table, feedback, cfg)[i, j] == 0.0
+        assert _cost_matrix(state.init_table, feedback)[i, j] == 0.0
 
     def test_far_cell_hand_value(self):
-        # offsets (10 %, 1 m/s) with alpha=beta=1, m=2 and init agreeing with
-        # the measurement: cost = (10^2 + 1^2 + xi) * epsilon
+        # offsets (10 %, 1 m/s) and init agreeing with the measurement:
+        # cost = 10^2 + 1^2 + xi
         table = grid_table()
-        for epsilon in (1.0, 0.5, 2.0):
-            cfg = OnlineConfig(alpha=1.0, beta=1.0, m_cmd=2, m_v=2, epsilon=epsilon)
-            i = int(np.argmin(np.abs(table.cmd_grid - 20.0)))
-            j = int(np.argmin(np.abs(table.speed_grid - 1.2)))
-            feedback = fb(
-                cmd_ref=float(table.cmd_grid[i]) + 10.0,
-                v_ref=float(table.speed_grid[j]) + 1.0,
-                acc_k=float(table.acc[i, j]),
-            )
-            cost = _cost_matrix(table, feedback, cfg)[i, j]
-            assert cost == pytest.approx((100.0 + 1.0 + 1e-8) * epsilon, rel=1e-12)
+        i = int(np.argmin(np.abs(table.cmd_grid - 20.0)))
+        j = int(np.argmin(np.abs(table.speed_grid - 1.2)))
+        feedback = fb(
+            cmd_ref=float(table.cmd_grid[i]) + 10.0,
+            v_ref=float(table.speed_grid[j]) + 1.0,
+            acc_k=float(table.acc[i, j]),
+        )
+        cost = _cost_matrix(table, feedback)[i, j]
+        assert cost == pytest.approx(100.0 + 1.0 + 1e-8, rel=1e-12)
 
     def test_similarity_bounded_and_vanishing(self):
         table = grid_table()
-        cfg = OnlineConfig(epsilon=0.7)
         i, j = 0, 0
         base = fb(cmd_ref=50.0, v_ref=2.0, acc_k=float(table.acc[i, j]))
-        nearby = _cost_matrix(table, base, cfg)[i, j]
-        distance = (
-            cfg.alpha * (base.cmd_ref - table.cmd_grid[i]) ** 2
-            + cfg.beta * (base.v_ref - table.speed_grid[j]) ** 2
-            + cfg.xi
-        )
-        assert nearby <= distance * cfg.epsilon + 1e-12
+        nearby = _cost_matrix(table, base)[i, j]
+        d_cmd, d_v = base.cmd_ref - table.cmd_grid[i], base.v_ref - table.speed_grid[j]
+        distance = d_cmd**2 + d_v**2 + XI
+        assert nearby <= distance + 1e-12
         far_acc = fb(cmd_ref=50.0, v_ref=2.0, acc_k=float(table.acc[i, j]) + 50.0)
-        assert _cost_matrix(table, far_acc, cfg)[i, j] < 1e-12
+        assert _cost_matrix(table, far_acc)[i, j] < 1e-12
 
     def test_matrix_matches_scalar(self):
         table = grid_table(n_cmd=9, n_speed=5)
-        cfg = OnlineConfig(alpha=0.8, beta=1.3, iota=2.0, epsilon=0.9)
         feedback = fb(cmd_ref=33.0, v_ref=1.7, acc_k=0.42)
-        matrix = _cost_matrix(table, feedback, cfg)
+        matrix = _cost_matrix(table, feedback)
         for i in range(9):
             for j in range(5):
                 assert matrix[i, j] == pytest.approx(
-                    _reference_cell_cost(table, i, j, feedback, cfg), rel=1e-12
+                    _reference_cell_cost(table, i, j, feedback), rel=1e-12
                 )
+
+    def test_matrix_bit_equal_to_the_general_law_at_its_defaults(self):
+        # the general law, with weights alpha = beta = epsilon = iota = 1.0
+        # and exponents m_cmd = m_v = 2 written out: the constants reproduce
+        # it bit for bit, at points exactly DELTA off a grid value too
+        table = ax1().true_table()
+        rng = np.random.default_rng(4)
+        cmds = rng.uniform(-105, 105, 8).tolist()
+        cmds += [g + d for g in table.cmd_grid.tolist() for d in (-DELTA_CMD, DELTA_CMD)]
+        speeds = rng.uniform(-0.5, 3.5, 8).tolist()
+        speeds += [g + d for g in table.speed_grid.tolist() for d in (-DELTA_V, DELTA_V)]
+        for cmd_ref in cmds:
+            for v_ref in speeds:
+                feedback = fb(cmd_ref=cmd_ref, v_ref=v_ref, acc_k=rng.uniform(-3.0, 3.0))
+                d_cmd = cmd_ref - table.cmd_grid
+                d_v = v_ref - table.speed_grid
+                want = (1.0 * d_cmd**2)[:, None] + 1.0 * d_v**2 + 1e-8
+                want[(np.abs(d_cmd)[:, None] <= 5.0) & (np.abs(d_v)[None, :] <= 0.2)] = 0.0
+                want *= 1.0 * np.exp(-1.0 * np.abs(table.acc - feedback.acc_k))
+                assert np.array_equal(_cost_matrix(table, feedback), want), (cmd_ref, v_ref)
 
     def test_window_is_the_zero_cost_block(self):
         # points on, between and beyond the grid, and exactly delta off a
         # grid value, where the float rounding of |x - g| decides
         table = grid_table()
-        cfg = OnlineConfig()
         rng = np.random.default_rng(3)
         cmds = [-120.0, -100.0, 7.5, 100.0, 130.0] + rng.uniform(-105, 105, 40).tolist()
-        cmds += [g + d for g in table.cmd_grid.tolist() for d in (-cfg.delta_cmd, cfg.delta_cmd)]
+        cmds += [g + d for g in table.cmd_grid.tolist() for d in (-DELTA_CMD, DELTA_CMD)]
         speeds = [-1.0, 0.0, 0.1, 3.0, 4.0] + rng.uniform(-0.5, 3.5, 40).tolist()
-        speeds += [g + d for g in table.speed_grid.tolist() for d in (-cfg.delta_v, cfg.delta_v)]
+        speeds += [g + d for g in table.speed_grid.tolist() for d in (-DELTA_V, DELTA_V)]
         for cmd_ref, v_ref in zip(cmds, speeds):
             feedback = fb(cmd_ref=cmd_ref, v_ref=v_ref)
-            expect = (np.abs(cmd_ref - table.cmd_grid)[:, None] <= cfg.delta_cmd) & (
-                np.abs(v_ref - table.speed_grid)[None, :] <= cfg.delta_v
+            expect = (np.abs(cmd_ref - table.cmd_grid)[:, None] <= DELTA_CMD) & (
+                np.abs(v_ref - table.speed_grid)[None, :] <= DELTA_V
             )
             got = np.zeros(table.shape, dtype=bool)
-            got[_window(table, feedback, cfg)] = True
+            got[_window(table, feedback)] = True
             assert np.array_equal(got, expect), (cmd_ref, v_ref)
 
     def test_buffers_hold_the_same_cost(self):
         # the cost written into reused, stale buffers is the freshly allocated one
         table = grid_table()
-        cfg = OnlineConfig()
         out, work = np.full(table.shape, np.nan), np.full(table.shape, 7.0)
         for feedback in (fb(), fb(cmd_ref=-62.0, v_ref=2.9, acc_k=-1.4)):
-            got = _cost_matrix(table, feedback, cfg, out, work)
+            got = _cost_matrix(table, feedback, out, work)
             assert got is out
-            assert np.array_equal(got, _cost_matrix(table, feedback, cfg))
+            assert np.array_equal(got, _cost_matrix(table, feedback))
 
 
 class TestUpdateTable:
@@ -225,10 +247,10 @@ class TestUpdateTable:
         cfg = OnlineConfig()
         state = OnlineCalibrator(table)
         feedback = fb(cmd_ref=20.0, v_ref=1.0, acc_ref=0.8, acc_k=0.3)
-        gain = compute_gain(feedback.acc_ref, feedback.acc_k)
+        gain = feedback.acc_ref - feedback.acc_k
         new = update_table(state, feedback, cfg)
-        window = (np.abs(feedback.cmd_ref - table.cmd_grid)[:, None] <= cfg.delta_cmd) & (
-            np.abs(feedback.v_ref - table.speed_grid)[None, :] <= cfg.delta_v
+        window = (np.abs(feedback.cmd_ref - table.cmd_grid)[:, None] <= DELTA_CMD) & (
+            np.abs(feedback.v_ref - table.speed_grid)[None, :] <= DELTA_V
         )
         delta = table.acc - new.acc
         # cells inside the window move by exactly sigma * gain (the column
@@ -251,8 +273,8 @@ class TestUpdateTable:
                 acc_ref=rng.uniform(-2, 2),
                 acc_k=rng.uniform(-2, 2),
             )
-            gain = compute_gain(feedback.acc_ref, feedback.acc_k)
-            cost = _cost_matrix(state.init_table, feedback, cfg)
+            gain = feedback.acc_ref - feedback.acc_k
+            cost = _cost_matrix(state.init_table, feedback)
             assert np.all(cost >= 0.0)
             step = cfg.sigma * gain / (1.0 + cost)
             assert np.all(np.abs(step) <= cfg.sigma * abs(gain) + 1e-15)
@@ -264,11 +286,11 @@ class TestUpdateTable:
         table = CalibrationTable(speed, cmd, np.zeros((41, 16)) + 0.1)
         cfg = OnlineConfig()
         feedback = fb(cmd_ref=20.0, v_ref=1.0, acc_ref=0.6, acc_k=0.1)
-        cost = _cost_matrix(table, feedback, cfg)
-        window = (np.abs(feedback.cmd_ref - cmd)[:, None] <= cfg.delta_cmd) & (
-            np.abs(feedback.v_ref - speed)[None, :] <= cfg.delta_v
+        cost = _cost_matrix(table, feedback)
+        window = (np.abs(feedback.cmd_ref - cmd)[:, None] <= DELTA_CMD) & (
+            np.abs(feedback.v_ref - speed)[None, :] <= DELTA_V
         )
-        step = np.abs(cfg.sigma * compute_gain(feedback.acc_ref, feedback.acc_k) / (1 + cost))
+        step = np.abs(cfg.sigma * (feedback.acc_ref - feedback.acc_k) / (1 + cost))
         assert step[window].min() >= step[~window].max()
 
     def test_moves_toward_measurement(self):
@@ -346,8 +368,12 @@ class TestUpdateTable:
         # published table must still be monotone
         table = grid_table(slope=0.001)
         state = OnlineCalibrator(table)
-        cfg = OnlineConfig(sigma=1.0, iota=5.0)
+        cfg = OnlineConfig(sigma=1.0)
         feedback = fb(cmd_ref=20.0, v_ref=1.0, acc_ref=2.0, acc_k=-2.0)
+        # the step alone leaves a column decreasing, so the repair has work
+        gain = feedback.acc_ref - feedback.acc_k
+        raw = table.acc - cfg.sigma * gain / (1.0 + _cost_matrix(table, feedback))
+        assert np.any(np.diff(raw, axis=0) < 0.0)
         new = update_table(state, feedback, cfg)
         assert new.is_monotone()
 
@@ -367,8 +393,8 @@ class TestUpdateTable:
         for feedback in feedbacks:
             publish(cal, update_table(cal, feedback, cfg))
             # the same step, then scipy's isotonic regression column by column
-            gain = compute_gain(feedback.acc_ref, feedback.acc_k)
-            ref = ref - cfg.sigma * gain / (1.0 + _cost_matrix(init, feedback, cfg))
+            gain = feedback.acc_ref - feedback.acc_k
+            ref = ref - cfg.sigma * gain / (1.0 + _cost_matrix(init, feedback))
             for j in np.flatnonzero(np.any(np.diff(ref, axis=0) < 0.0, axis=0)):
                 ref[:, j] = isotonic_regression(ref[:, j]).x
                 repaired += 1
@@ -399,7 +425,7 @@ def update_cases(draw):
         acc_ref=acc_ref,
         acc_k=acc_ref - gain,
     )
-    cfg = OnlineConfig(sigma=draw(st.sampled_from([0.05, 0.3, 1.0])), iota=draw(st.sampled_from([0.2, 1.0, 5.0])))
+    cfg = OnlineConfig(sigma=draw(st.sampled_from([0.05, 0.3, 1.0])))
     return table, feedback, cfg
 
 
@@ -415,7 +441,7 @@ class TestUpdateProperties:
         new = update_table(state, feedback, cfg)
         assert np.all(np.isfinite(new.acc))
         assert invert(new) is new
-        gain = compute_gain(feedback.acc_ref, feedback.acc_k)
+        gain = feedback.acc_ref - feedback.acc_k
         assert np.abs(new.acc - table.acc).max() <= cfg.sigma * abs(gain) * (1.0 + 1e-9)
 
 

@@ -10,6 +10,8 @@ from scipy.signal import butter, group_delay, lfilter, lfilter_zi
 
 import longcal
 from longcal.preprocess import (
+    CMD_GAP,
+    CMD_LIMIT,
     CONSISTENCY_WINDOW,
     MEAN_WINDOW,
     MODE_AUTO,
@@ -249,23 +251,22 @@ class TestCommandConsistencyGate:
 
     def test_constant_true(self):
         t, c = self.make_hist(lambda ti: 30.0)
-        assert command_consistency_gate(t, c, 0.5, dt=0.01, delta_cmd_gap=10.0)
+        assert command_consistency_gate(t, c, 0.5, dt=0.01)
 
     def test_spike_false(self):
         t, c = self.make_hist(lambda ti: 30.0)
-        c[np.argmin(np.abs(t - 0.55))] = 30.0 + 2 * 10.0
-        assert not command_consistency_gate(t, c, 0.5, dt=0.01, delta_cmd_gap=10.0)
+        c[np.argmin(np.abs(t - 0.55))] = 30.0 + 2 * CMD_GAP
+        assert not command_consistency_gate(t, c, 0.5, dt=0.01)
 
     def test_slow_ramp_true(self):
-        # slope delta/0.3s: max deviation inside +-0.1s is delta/3 < delta
-        delta = 9.0
-        t, c = self.make_hist(lambda ti: delta / 0.3 * ti)
-        assert command_consistency_gate(t, c, 0.5, dt=0.01, delta_cmd_gap=delta)
+        # slope gap/0.3s: max deviation inside +-0.1s is gap/3 < gap
+        t, c = self.make_hist(lambda ti: CMD_GAP / 0.3 * ti)
+        assert command_consistency_gate(t, c, 0.5, dt=0.01)
 
     def test_insufficient_history(self):
         t, c = self.make_hist(lambda ti: 0.0, t0=0.45, t1=0.55)
         with pytest.raises(InsufficientHistory):
-            command_consistency_gate(t, c, 0.5, dt=0.01, delta_cmd_gap=10.0)
+            command_consistency_gate(t, c, 0.5, dt=0.01)
 
     @pytest.mark.parametrize(
         "dropped, fills",
@@ -281,10 +282,10 @@ class TestCommandConsistencyGate:
         t, c = self.make_hist(lambda ti: 0.0)
         keep = np.all(np.abs(t[:, None] - np.array(dropped)) > 0.005, axis=1)
         if fills:
-            assert command_consistency_gate(t[keep], c[keep], 0.5, dt=0.01, delta_cmd_gap=10.0)
+            assert command_consistency_gate(t[keep], c[keep], 0.5, dt=0.01)
         else:
             with pytest.raises(InsufficientHistory):
-                command_consistency_gate(t[keep], c[keep], 0.5, dt=0.01, delta_cmd_gap=10.0)
+                command_consistency_gate(t[keep], c[keep], 0.5, dt=0.01)
 
 
 class TestSpeedAccConsistencyGate:
@@ -413,6 +414,10 @@ class TestOnlinePreprocessor:
             # every cell by its gain
             pytest.param({"acc_expected": 1e6}, ImplausibleFrame, id="acc_expected-1e6"),
             pytest.param({"acc_expected": -1e6}, ImplausibleFrame, id="acc_expected-minus-1e6"),
+            # a command off the table's axis: unbounded, 154 of 200 frames
+            # at 1e6 were admitted
+            pytest.param({"cmd": 1e6}, ImplausibleFrame, id="cmd-1e6"),
+            pytest.param({"cmd": -CMD_LIMIT - 1e-9}, ImplausibleFrame, id="cmd-past-minus-limit"),
             # frame 200 carrying frame 199's time, and a time one second back
             pytest.param({"t": 199 * 0.01}, TimestampNotIncreasing, id="t-repeated"),
             pytest.param({"t": 200 * 0.01 - 1.0}, TimestampNotIncreasing, id="t-back"),
@@ -429,6 +434,11 @@ class TestOnlinePreprocessor:
         assert len(after) > 190
         clean = self.run_stream(OnlinePreprocessor(sample_rate=100.0), frames[:200] + frames[201:])
         assert before + after == clean
+
+    @pytest.mark.parametrize("cmd", [CMD_LIMIT, -CMD_LIMIT])
+    def test_command_at_the_limit_is_admitted(self, cmd):
+        # full pedal either way: the tracking loop's clamped command
+        assert self.run_stream(OnlinePreprocessor(sample_rate=100.0), self.steady_frames(cmd=cmd))
 
     def test_forward_gap_drops_stale_pairings(self):
         # the clock jumps from t=1.99 to 3.00 after frame 199; the command

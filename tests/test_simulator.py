@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longcal import offline, online, preprocess, simulator
-from longcal.online import OnlineConfig, _cost_matrix
+from longcal.online import _cost_matrix
 from longcal.table import CalibrationTable, lookup_acc, lookup_cmd, serialize
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -190,6 +190,20 @@ class TestHostileInput:
         with pytest.raises(ValueError, match="duration"):
             simulator.generate_drive_log(simulator.ax1(load=0.0), duration, seed=0)
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf"), -5.0, 0.0, 0.004])
+    def test_closed_loop_refuses_duration_without_cycles(self, duration, monkeypatch):
+        config = simulator.ax1(load=0.0)
+        table = config.true_table()
+        profile = simulator.trapezoid_profile(config.v_max, 5.0)
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("the loop was set up before the duration was checked")
+
+        for name in ("Plant", "OnlineCalibrator", "OnlinePreprocessor", "invert"):
+            monkeypatch.setattr(simulator, name, no_setup)
+        with pytest.raises(ValueError, match="duration"):
+            simulator.run_closed_loop(config, table, profile, duration=duration, online=True)
+
     @pytest.mark.parametrize(
         "name, value",
         [
@@ -309,14 +323,16 @@ class TestPlant:
             assert preset(load=600.0).true_table().is_monotone()
 
     def test_absurd_table_diverges(self):
-        # a table promising 5 m/s^2 more than the vehicle delivers makes the
-        # feedforward brake hard while the profile asks for speed
-        config = simulator.ax1(load=0.0)
-        truth = config.true_table()
-        absurd = CalibrationTable(truth.speed_grid, truth.cmd_grid, truth.acc + 5.0)
-        profile = simulator.trapezoid_profile(config.v_max, 20.0)
-        with pytest.raises(simulator.Diverged):
-            simulator.run_closed_loop(config, absurd, profile, diverge_limit=1.0)
+        # a table promising 9-11 m/s^2 for any command makes the feedforward
+        # brake hard while the profile asks for speed, until the speed error
+        # has stayed beyond DIVERGE_LIMIT for a second
+        config = simulator.mkz(load=0.0)
+        cmd_grid, speed_grid = config.table_grids()
+        acc = 10.0 + np.tile(cmd_grid[:, None] / 100.0, (1, len(speed_grid)))
+        absurd = CalibrationTable(speed_grid, cmd_grid, acc)
+        profile = simulator.trapezoid_profile(config.v_max, 30.0)
+        with pytest.raises(simulator.Diverged, match=f"above {simulator.DIVERGE_LIMIT} m/s"):
+            simulator.run_closed_loop(config, absurd, profile)
 
 
 class TestPaperClaim:
@@ -338,7 +354,7 @@ class TestPaperClaim:
         assert 1 <= min(cells) and max(cells) <= 9
         for e in online_run.events[:50]:
             fb = preprocess.OnlineFeedback(e.cmd_ref, e.v_ref, e.acc_ref, e.acc_k, v_k=0.0)
-            assert e.updated_cells == int((_cost_matrix(ax1_table, fb, OnlineConfig()) == 0).sum())
+            assert e.updated_cells == int((_cost_matrix(ax1_table, fb) == 0).sum())
 
     @pytest.mark.parametrize("preset", ["ax1", "mkz"])
     def test_twenty_minutes_of_driving_is_enough(self, preset):
