@@ -4,7 +4,8 @@ Two model families cover the preprocessed ``(cmd, v) -> acc`` samples: a
 small feedforward sigmoid network trained with Adam (the production choice)
 and an ordinary least-squares baseline kept for comparison.  Throttle and
 brake are fitted separately on the signed command axis; a ten-fold
-cross-validation harness scores both families on held-out folds only.
+cross-validation harness scores both families on held-out folds only.  The
+network trains in float32 and predicts in float64, so tables are float64.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ class MlpHyper:
     """Network width and Adam settings.
 
     A fit costs about epochs x samples.  At the defaults, one sign of a
-    20-minute drive log trains in about 0.25 s on ax1 (9k samples) and
-    0.45-0.7 s on mkz (16k-24k samples) on one core of a 2-vCPU Xeon VM.
+    20-minute drive log trains in about 0.13-0.2 s on ax1 (9k samples) and
+    0.25-0.47 s on mkz (16k-25k samples) on one core of a 2-vCPU Xeon VM
+    (best of three per fit, log seeds 0-2).
     """
 
     hidden: int = 16
@@ -71,9 +73,14 @@ class MlpHyper:
 
 
 def _sigmoid(z):
-    """``1 / (1 + exp(-z))``, written over the float array ``z`` and returned."""
+    """``1 / (1 + exp(-z))``, written over the float array ``z`` and returned.
+
+    Where ``exp(-z)`` overflows (``z`` below about -88.7 in float32, -709 in
+    float64) the result is exactly 0, with no warning.
+    """
     np.negative(z, out=z)
-    np.exp(z, out=z)
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
     z += 1.0
     return np.divide(1.0, z, out=z)
 
@@ -83,7 +90,8 @@ class MlpModel:
     """Feedforward net 2 -> H -> H -> 1, sigmoid hidden units, linear output.
 
     Inputs and target are standardised with constants taken from the
-    training split only; ``predict`` works in raw units.
+    training split only; ``predict`` works in raw units and in float64,
+    whatever the dtype of the parameters (float32 from ``train_mlp``).
     """
 
     weights: list = field(repr=False)
@@ -116,6 +124,14 @@ def train_mlp(samples, hyper: MlpHyper | None = None) -> MlpModel:
     order all come from one generator).  Constant targets trigger a
     Degenerate warning and return the constant predictor.
 
+    Training runs in float32: the parameters, the Adam moments, the
+    standardised inputs and targets (standardised in float64, then cast
+    once) and every batch buffer.  The returned net's parameters are
+    float32; ``MlpModel.predict`` evaluates them in float64.  Each epoch
+    gathers the shuffled rows once into a buffer, and its batches are
+    contiguous slices of it, the same rows in the same order as a gather
+    per batch.
+
     All parameters live in one flat vector ``theta`` laid out layer by
     layer as ``w0 | b0 | w1 | b1 | w2 | b2`` (each weight row-major), and the
     returned model's ``weights`` and ``biases`` are reshaped views into it.
@@ -130,15 +146,16 @@ def train_mlp(samples, hyper: MlpHyper | None = None) -> MlpModel:
     pass over flat moment vectors then updates every parameter per step.
 
     The trained net is bit-identical to a separate update per weight and
-    bias array (the per-layer reference in the tests) at every even hidden
-    width from 2 to 16, the default 16 among them, and at the odd widths
-    from 3 to 15 unless a batch has one row.  There numpy's OpenBLAS adds
-    the ones-column product after the sum a bias add would follow, and sums
-    a column in row order as ``np.add.reduce`` does.  At width 1, above 16,
-    and once ``(hidden + 1) * hidden * batch`` exceeds 10**6 (where OpenBLAS
-    leaves its small-matrix kernels) it sums in another order, and the net
-    drifts from that reference in the last bits: at most 1.8e-15 per
-    parameter after 80 epochs in the tests.
+    bias array (the per-layer reference in the tests) at every hidden width
+    from 2 to 32, the default 16 among them, except widths 3 and 4 when a
+    batch has one row.  There numpy's OpenBLAS sgemm adds the ones-column
+    product after the sum a bias add would follow, and sums a column in row
+    order as ``np.add.reduce`` does.  At width 1, at widths 3 and 4 on a
+    one-row batch (which numpy hands to sgemv), and at some widths above 32
+    (40, and 44 on, at batch 512, where OpenBLAS picks other kernels) it
+    sums in another order, and the net drifts from that reference in the
+    last bits: at most 9.5e-7 per parameter after 80 epochs, measured at
+    widths 1 to 31.
     """
     hyper = hyper or MlpHyper()
     arr = as_sample_array(samples)
@@ -158,7 +175,7 @@ def train_mlp(samples, hyper: MlpHyper | None = None) -> MlpModel:
     hidden = hyper.hidden
     sizes = [2, hidden, hidden, 1]
     shapes = [(sizes[i] + 1, sizes[i + 1]) for i in range(3)]
-    theta = np.zeros(sum(math.prod(s) for s in shapes))
+    theta = np.zeros(sum(math.prod(s) for s in shapes), dtype=np.float32)
     grad = np.zeros_like(theta)
 
     def blocks(flat):
@@ -186,12 +203,13 @@ def train_mlp(samples, hyper: MlpHyper | None = None) -> MlpModel:
         model.first_epoch_mse = model.final_mse = 0.0
         return model
 
-    # standardised (cmd, v) and the ones column that adds layer 0's bias
-    Xa = np.ones((len(arr), 3))
+    # standardised (cmd, v), computed in float64 and cast once, and the
+    # ones column that adds layer 0's bias
+    n = len(arr)
+    Xa = np.ones((n, 3), dtype=np.float32)
     X = Xa[:, :2]
-    np.subtract(X_raw, x_mean, out=X)
-    X /= x_std
-    y = (y_raw - y_mean) / y_std
+    X[...] = (X_raw - x_mean) / x_std
+    y = ((y_raw - y_mean) / y_std).astype(np.float32)
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     m = np.zeros_like(theta)
@@ -201,17 +219,18 @@ def train_mlp(samples, hyper: MlpHyper | None = None) -> MlpModel:
     step = 0
     # keep at least 8 optimiser steps per epoch on small datasets, otherwise
     # the epoch budget undertrains
-    batch = int(min(hyper.batch, max(64, np.ceil(len(X) / 8))))
+    batch = int(min(hyper.batch, max(64, np.ceil(n / 8))))
     # the first hidden layer's activations end in a ones column (layer 1's
     # bias input) and its deltas in a zero column, so the elementwise
     # products run over whole contiguous buffers
-    a1_buf = np.ones((batch, hidden + 1))
-    d1_buf = np.zeros((batch, hidden + 1))
-    a2_buf = np.empty((batch, hidden))
-    d2_buf = np.empty((batch, hidden))
-    out_buf = np.empty((batch, 1))
-    xb_buf = np.empty((batch, 3))
-    yb_buf = np.empty((batch, 1))
+    a1_buf = np.ones((batch, hidden + 1), dtype=np.float32)
+    d1_buf = np.zeros((batch, hidden + 1), dtype=np.float32)
+    a2_buf = np.empty((batch, hidden), dtype=np.float32)
+    d2_buf = np.empty((batch, hidden), dtype=np.float32)
+    out_buf = np.empty((batch, 1), dtype=np.float32)
+    # the epoch's shuffled rows; each batch is a contiguous slice of them
+    Xe = np.empty_like(Xa)
+    ye = np.empty_like(y)
 
     def full_mse():
         a1 = _sigmoid(X @ weights[0] + biases[0])
@@ -219,16 +238,15 @@ def train_mlp(samples, hyper: MlpHyper | None = None) -> MlpModel:
         return float(((a2 @ weights[2] + biases[2] - y) ** 2).mean())
 
     for epoch in range(hyper.epochs):
-        order = rng.permutation(len(X))
-        for s in range(0, len(X), batch):
-            rows = order[s : s + batch]
-            nb = len(rows)
-            xb, yb = xb_buf[:nb], yb_buf[:nb]
+        order = rng.permutation(n)
+        # a permutation is always in range, and "clip" writes straight into
+        # out where the default mode goes through a buffer
+        np.take(Xa, order, axis=0, out=Xe, mode="clip")
+        np.take(y, order, axis=0, out=ye, mode="clip")
+        for s in range(0, n, batch):
+            xb, yb = Xe[s : s + batch], ye[s : s + batch]
+            nb = len(xb)
             a1, a2, d1, d2, delta = a1_buf[:nb], a2_buf[:nb], d1_buf[:nb], d2_buf[:nb], out_buf[:nb]
-            # a permutation is always in range, and "clip" writes straight
-            # into out where the default mode goes through a buffer
-            np.take(Xa, rows, axis=0, out=xb, mode="clip")
-            np.take(y, rows, axis=0, out=yb, mode="clip")
             np.matmul(xb, layers[0], out=a1[:, :hidden])
             _sigmoid(a1)
             a1[:, hidden] = 1.0
@@ -398,12 +416,12 @@ def cross_validate(
     rng = np.random.default_rng(seed)
     assignment = rng.permutation(len(arr)) % folds
 
-    jobs = []
-    for k in range(folds):
-        test = arr[assignment == k]
-        train = arr[assignment != k]
-        jobs.append((train, test, kind, hyper, seed + 1000 * (k + 1)))
-
+    # a generator: with one worker, only one fold's train/test copies exist
+    # at a time
+    jobs = (
+        (arr[assignment != k], arr[assignment == k], kind, hyper, seed + 1000 * (k + 1))
+        for k in range(folds)
+    )
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

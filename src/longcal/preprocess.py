@@ -283,24 +283,26 @@ def offline_pipeline(
     start = shift + MEAN_WINDOW
     if len(log) <= start:
         return GridBins(cmd_grid, speed_grid)
-    smoothed = mean_filter(log.acc, MEAN_WINDOW)
-    j = np.arange(start, len(log))
+    # each frame from ``start`` on, as slices: its speed, the command issued
+    # ``shift`` frames before it, and the mean IMU of the MEAN_WINDOW frames
+    # before it
+    end = len(log)
+    cmd = log.cmd[start - shift : end - shift]
+    v = log.v[start:]
+    acc = mean_filter(log.acc, MEAN_WINDOW)[start - MEAN_WINDOW : end - MEAN_WINDOW]
     # a frame is usable only when the commands that produced its smoothing
     # window were steady: cells visited solely mid-transition (full throttle
     # at standstill, say) cannot be measured and stay empty instead of
     # collecting smeared values
     windows = np.lib.stride_tricks.sliding_window_view(log.cmd, MEAN_WINDOW + 1)
-    steady = np.ptp(windows, axis=1)[j - shift - MEAN_WINDOW] < CMD_GAP
+    keep = np.ptp(windows[: end - start], axis=1) < CMD_GAP
     # braking at or near standstill pins the IMU at zero no matter the pedal:
     # those frames say nothing about the actuator, and the residual crawl
     # frames straddle the parked/rolling discontinuity, so both are dropped
     v_still = 0.5 * float(speed_grid[1] - speed_grid[0])
-    informative = ~((log.cmd[j - shift] < 0.0) & (log.v[j] < v_still))
-    straight = np.abs(log.theta[j]) < STEER_LIMIT
-    j = j[steady & informative & straight]
-    return bin_and_uniform(
-        log.cmd[j - shift], log.v[j], smoothed[j - MEAN_WINDOW], cmd_grid, speed_grid, cap, seed
-    )
+    keep &= ~((cmd < 0.0) & (v < v_still))
+    keep &= np.abs(log.theta[start:]) < STEER_LIMIT
+    return bin_and_uniform(cmd[keep], v[keep], acc[keep], cmd_grid, speed_grid, cap, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 """Offline regression models, cross-validation, and table construction."""
 
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 
+import longcal.offline as offline_mod
+from longcal import preprocess, simulator
 from longcal.offline import (
     CvReport,
     Degenerate,
@@ -17,7 +22,7 @@ from longcal.offline import (
     train_linear,
     train_mlp,
 )
-from longcal.offline import as_sample_array
+from longcal.offline import _sigmoid, as_sample_array
 from longcal.table import lookup_acc
 
 
@@ -36,12 +41,15 @@ def sample_grid(rng, n, v_max=3.0, noise=0.0, sign=None):
     return np.column_stack([cmd, v, acc])
 
 
-def _reference_train_mlp(samples, hyper=None):
+def _reference_train_mlp(samples, hyper=None, dtype=np.float32):
     """``train_mlp`` with a separate Adam update per weight and bias array.
 
     The reference for the flat-buffer trainer, which must give bit-identical
-    nets: same initialisation, shuffling and batches, and per element the
-    same operations in the same order.
+    nets: same initialisation, shuffling and batches, standardisation in
+    float64 cast once to ``dtype``, and per element the same operations in
+    the same order.  At ``dtype=np.float64`` it is the float64 tolerance
+    reference: at the default width its nets are byte-equal to those of the
+    same flat-buffer trainer run in float64, on the 1200 s logs below too.
     """
     hyper = hyper or MlpHyper()
     arr = as_sample_array(samples)
@@ -61,10 +69,10 @@ def _reference_train_mlp(samples, hyper=None):
     sizes = [2, hyper.hidden, hyper.hidden, 1]
     rng = np.random.default_rng(hyper.seed)
     weights = [
-        rng.normal(0.0, 1.0 / np.sqrt(sizes[i]), size=(sizes[i], sizes[i + 1]))
+        rng.normal(0.0, 1.0 / np.sqrt(sizes[i]), size=(sizes[i], sizes[i + 1])).astype(dtype)
         for i in range(3)
     ]
-    biases = [np.zeros(sizes[i + 1]) for i in range(3)]
+    biases = [np.zeros(sizes[i + 1], dtype=dtype) for i in range(3)]
     model = MlpModel(weights, biases, x_mean, x_std, y_mean, y_std)
     if y_std == 0.0:
         for w in weights:
@@ -72,8 +80,8 @@ def _reference_train_mlp(samples, hyper=None):
         model.first_epoch_mse = model.final_mse = 0.0
         return model
 
-    X = (X_raw - x_mean) / x_std
-    y = (y_raw - y_mean) / y_std
+    X = ((X_raw - x_mean) / x_std).astype(dtype)
+    y = ((y_raw - y_mean) / y_std).astype(dtype)
     m_w = [np.zeros_like(w) for w in weights]
     v_w = [np.zeros_like(w) for w in weights]
     m_b = [np.zeros_like(b) for b in biases]
@@ -202,8 +210,8 @@ class TestTrainMlp:
     @pytest.mark.parametrize(
         "n, hidden",
         [
-            # 1, 3 on a 1-row last batch, and 17 drift from the reference:
-            # there OpenBLAS sums the folded bias in another order
+            # 1, and 3 on a 1-row last batch, drift from the reference: there
+            # OpenBLAS sums the folded bias in another order
             pytest.param(1000, 1, id="h1"),
             pytest.param(4097, 3, id="h3-one-row"),
             pytest.param(1000, 6, id="h6"),
@@ -212,14 +220,16 @@ class TestTrainMlp:
         ],
     )
     def test_near_per_layer_reference_at_any_width(self, n, hidden):
-        # measured after 80 epochs: at most 1.8e-15 per parameter
+        # measured after 80 epochs in float32: h1 at most 3.0e-7 per
+        # parameter, h3-one-row 7.2e-7 and its final_mse 3.7e-9; h6, h10 and
+        # h17 byte-equal
         arr = sample_grid(np.random.default_rng(30 + hidden), n, sign="+", noise=0.05)
         hyper = MlpHyper(hidden=hidden)
         model, ref = train_mlp(arr, hyper), _reference_train_mlp(arr, hyper)
         for p, q in zip(model.weights + model.biases, ref.weights + ref.biases, strict=True):
-            assert np.allclose(p, q, rtol=0.0, atol=1e-12)
-        assert model.first_epoch_mse == pytest.approx(ref.first_epoch_mse, rel=0.0, abs=1e-12)
-        assert model.final_mse == pytest.approx(ref.final_mse, rel=0.0, abs=1e-12)
+            assert np.allclose(p, q, rtol=0.0, atol=2e-6)
+        assert model.first_epoch_mse == pytest.approx(ref.first_epoch_mse, rel=0.0, abs=1e-7)
+        assert model.final_mse == pytest.approx(ref.final_mse, rel=0.0, abs=1e-7)
 
     def test_degenerate_equals_per_layer_reference(self):
         arr = sample_grid(np.random.default_rng(21), 200, sign="+")
@@ -265,6 +275,60 @@ class TestTrainMlp:
         # untrained net, or died on a bare range() or divide-by-zero error
         with pytest.raises(ValueError, match=field):
             MlpHyper(**{field: value})
+
+
+class TestSigmoid:
+    def test_float32_saturates_to_exact_zero_and_one_without_warning(self):
+        # exp(-z) overflows float32 once z is below about -88.7
+        z = np.array([-1e4, -100.0, 100.0, 1e4], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _sigmoid(z)
+        assert out.dtype == np.float32
+        assert out.tolist() == [0.0, 0.0, 1.0, 1.0]
+
+
+def drive_samples(preset):
+    """The cleaned samples of the 1200 s seed-0 log of ``preset`` and its grids."""
+    config = simulator.PRESETS[preset](load=0.0)
+    log = simulator.generate_drive_log(config, 1200.0, seed=0)
+    grids = config.table_grids()
+    return preprocess.offline_pipeline(log, *grids).to_samples(), grids
+
+
+def float64_train_mlp(samples, hyper=None):
+    return _reference_train_mlp(samples, hyper, dtype=np.float64)
+
+
+class TestFloat32AgainstFloat64:
+    """``train_mlp`` trains in float32; the float64 trainer is the tolerance reference.
+
+    Both tolerances were set before the trainer moved to float32.  Measured:
+    the tables differ by at most 1.2e-6 m/s^2 on ax1 and 8.5e-7 on mkz, and
+    ``cv_mae`` by 3.5e-7 relative on ax1 (1.1e-6 on mkz, where 10-fold CV
+    is left out here for its 25 s).
+    """
+
+    @pytest.mark.parametrize("preset", ["ax1", "mkz"])
+    def test_table_within_1e5_of_float64(self, preset):
+        samples, (cmd_grid, speed_grid) = drive_samples(preset)
+        throttle, brake = split_by_sign(samples)
+
+        def table(train):
+            t_model = train(throttle, MlpHyper(seed=0))
+            b_model = train(brake, MlpHyper(seed=1))
+            return build_table(t_model, b_model, speed_grid, cmd_grid)
+
+        f32, f64 = table(train_mlp), table(float64_train_mlp)
+        assert f32.acc.dtype == np.float64
+        assert np.abs(f32.acc - f64.acc).max() <= 1e-5
+
+    def test_ax1_cv_mae_within_1e4_relative_of_float64(self, monkeypatch):
+        samples, _ = drive_samples("ax1")
+        f32 = cross_validate(samples, folds=10, kind="nn").mae
+        monkeypatch.setattr(offline_mod, "train_mlp", float64_train_mlp)
+        f64 = cross_validate(samples, folds=10, kind="nn").mae
+        assert f32 == pytest.approx(f64, rel=1e-4, abs=0.0)
 
 
 class TestPredict:
@@ -354,6 +418,21 @@ class TestCrossValidate:
         parallel = cross_validate(arr, folds=4, kind="linear", seed=1, workers=2)
         assert np.array_equal(serial.fold_mae, parallel.fold_mae)
 
+    def test_one_worker_holds_one_fold_at_a_time(self, monkeypatch):
+        previous = []
+        original = offline_mod._fold_metrics
+
+        def spy(args):
+            # the last fold's train and test copies are gone by this fit
+            assert all(ref() is None for ref in previous)
+            previous[:] = [weakref.ref(args[0]), weakref.ref(args[1])]
+            return original(args)
+
+        monkeypatch.setattr(offline_mod, "_fold_metrics", spy)
+        arr = sample_grid(np.random.default_rng(23), 400, noise=0.05)
+        report = cross_validate(arr, folds=5, kind="linear")
+        assert len(report.fold_mae) == 5
+
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             cross_validate(np.array([[10.0, 1.0, 0.2]] * 4), folds=10, kind="linear")
@@ -362,8 +441,6 @@ class TestCrossValidate:
     def test_bad_fold_count_raises(self, folds, monkeypatch):
         # before, 0 and -3 gave mae nan with numpy warnings, and 1 raised a
         # misleading TooFewSamples about missing throttle training data
-        import longcal.offline as offline_mod
-
         def no_fit(args):
             raise AssertionError("a fold was fitted")
 
@@ -383,8 +460,6 @@ class TestCrossValidate:
     def test_training_never_sees_held_out_fold(self, monkeypatch):
         # intercept the fold jobs and check train/test row disjointness plus
         # full coverage of the dataset by the test folds
-        import longcal.offline as offline_mod
-
         rng = np.random.default_rng(16)
         cmd = rng.uniform(5, 100, 400)
         v = rng.uniform(0, 3, 400)
