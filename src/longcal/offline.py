@@ -5,7 +5,9 @@ small feedforward sigmoid network trained with Adam (the production choice)
 and an ordinary least-squares baseline kept for comparison.  Throttle and
 brake are fitted separately on the signed command axis; a ten-fold
 cross-validation harness scores both families on held-out folds only.  The
-network trains in float32 and predicts in float64, so tables are float64.
+network's shape, epochs, Adam step and batch size are module constants; a
+fit's one setting is its seed (``MlpHyper``).  The network trains in float32
+and predicts in float64, so tables are float64.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from .preprocess import _is_integer
 from .table import CalibrationTable, project_monotone
 
 DEADBAND_CMD = 2.0  # |cmd| below this is idle-creep ambiguity, not training data
+HIDDEN = 16  # units in each of the network's two hidden layers
+EPOCHS = 80  # passes over the training rows per fit
+LR = 1e-2  # Adam step size
+BATCH = 512  # rows per Adam step at most; small sets keep 8 steps an epoch
 
 
 class TooFewSamples(ValueError):
@@ -49,27 +55,25 @@ def as_sample_array(samples) -> np.ndarray:
 
 @dataclass
 class MlpHyper:
-    """Network width and Adam settings.
+    """The seed of one network fit: initialisation, shuffling and batch order.
 
-    A fit costs about epochs x samples.  At the defaults, one sign of a
-    20-minute drive log trains in about 0.13-0.2 s on ax1 (9k samples) and
-    0.25-0.47 s on mkz (16k-25k samples) on one core of a 2-vCPU Xeon VM
-    (best of three per fit, log seeds 0-2).
+    Every other setting is a module constant: a 2 -> ``HIDDEN`` -> ``HIDDEN``
+    -> 1 net trained for ``EPOCHS`` epochs by Adam at step ``LR`` on batches
+    of at most ``BATCH`` rows.  A fit costs about epochs x samples: one sign
+    of a 20-minute drive log trains in about 0.13-0.2 s on ax1 (9k samples)
+    and 0.25-0.47 s on mkz (16k-25k samples) on one core of a 2-vCPU Xeon VM
+    (best of three per fit, log seeds 0-2).  Raises ValueError unless
+    ``seed`` is an integer >= 0; a bool is refused.
     """
 
-    hidden: int = 16
-    epochs: int = 80
-    lr: float = 1e-2
-    batch: int = 512
     seed: int = 0
+    # unannotated, so a class attribute and not a field: the benchmark's
+    # tracer counts epochs as MlpHyper().epochs
+    epochs = EPOCHS
 
     def __post_init__(self):
-        for name in ("hidden", "epochs", "batch"):
-            value = getattr(self, name)
-            if not (_is_integer(value) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if isinstance(self.lr, bool) or not (math.isfinite(self.lr) and self.lr > 0.0):
-            raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 def _sigmoid(z):
@@ -87,7 +91,7 @@ def _sigmoid(z):
 
 @dataclass
 class MlpModel:
-    """Feedforward net 2 -> H -> H -> 1, sigmoid hidden units, linear output.
+    """Feedforward net 2 -> HIDDEN -> HIDDEN -> 1, sigmoid hidden units, linear output.
 
     Inputs and target are standardised with constants taken from the
     training split only; ``predict`` works in raw units and in float64,
@@ -146,16 +150,10 @@ def train_mlp(samples, hyper: MlpHyper | None = None) -> MlpModel:
     pass over flat moment vectors then updates every parameter per step.
 
     The trained net is bit-identical to a separate update per weight and
-    bias array (the per-layer reference in the tests) at every hidden width
-    from 2 to 32, the default 16 among them, except widths 3 and 4 when a
-    batch has one row.  There numpy's OpenBLAS sgemm adds the ones-column
-    product after the sum a bias add would follow, and sums a column in row
-    order as ``np.add.reduce`` does.  At width 1, at widths 3 and 4 on a
-    one-row batch (which numpy hands to sgemv), and at some widths above 32
-    (40, and 44 on, at batch 512, where OpenBLAS picks other kernels) it
-    sums in another order, and the net drifts from that reference in the
-    last bits: at most 9.5e-7 per parameter after 80 epochs, measured at
-    widths 1 to 31.
+    bias array (the per-layer reference in the tests), a one-row last batch
+    included: at width ``HIDDEN`` numpy's OpenBLAS sgemm adds the
+    ones-column product after the sum a bias add would follow, and sums a
+    column in row order as ``np.add.reduce`` does.
     """
     hyper = hyper or MlpHyper()
     arr = as_sample_array(samples)
@@ -172,8 +170,7 @@ def train_mlp(samples, hyper: MlpHyper | None = None) -> MlpModel:
     if np.ptp(y_raw) == 0.0:
         y_std = 0.0
 
-    hidden = hyper.hidden
-    sizes = [2, hidden, hidden, 1]
+    sizes = [2, HIDDEN, HIDDEN, 1]
     shapes = [(sizes[i] + 1, sizes[i + 1]) for i in range(3)]
     theta = np.zeros(sum(math.prod(s) for s in shapes), dtype=np.float32)
     grad = np.zeros_like(theta)
@@ -219,14 +216,14 @@ def train_mlp(samples, hyper: MlpHyper | None = None) -> MlpModel:
     step = 0
     # keep at least 8 optimiser steps per epoch on small datasets, otherwise
     # the epoch budget undertrains
-    batch = int(min(hyper.batch, max(64, np.ceil(n / 8))))
+    batch = int(min(BATCH, max(64, np.ceil(n / 8))))
     # the first hidden layer's activations end in a ones column (layer 1's
     # bias input) and its deltas in a zero column, so the elementwise
     # products run over whole contiguous buffers
-    a1_buf = np.ones((batch, hidden + 1), dtype=np.float32)
-    d1_buf = np.zeros((batch, hidden + 1), dtype=np.float32)
-    a2_buf = np.empty((batch, hidden), dtype=np.float32)
-    d2_buf = np.empty((batch, hidden), dtype=np.float32)
+    a1_buf = np.ones((batch, HIDDEN + 1), dtype=np.float32)
+    d1_buf = np.zeros((batch, HIDDEN + 1), dtype=np.float32)
+    a2_buf = np.empty((batch, HIDDEN), dtype=np.float32)
+    d2_buf = np.empty((batch, HIDDEN), dtype=np.float32)
     out_buf = np.empty((batch, 1), dtype=np.float32)
     # the epoch's shuffled rows; each batch is a contiguous slice of them
     Xe = np.empty_like(Xa)
@@ -237,7 +234,7 @@ def train_mlp(samples, hyper: MlpHyper | None = None) -> MlpModel:
         a2 = _sigmoid(a1 @ weights[1] + biases[1])
         return float(((a2 @ weights[2] + biases[2] - y) ** 2).mean())
 
-    for epoch in range(hyper.epochs):
+    for epoch in range(EPOCHS):
         order = rng.permutation(n)
         # a permutation is always in range, and "clip" writes straight into
         # out where the default mode goes through a buffer
@@ -247,9 +244,9 @@ def train_mlp(samples, hyper: MlpHyper | None = None) -> MlpModel:
             xb, yb = Xe[s : s + batch], ye[s : s + batch]
             nb = len(xb)
             a1, a2, d1, d2, delta = a1_buf[:nb], a2_buf[:nb], d1_buf[:nb], d2_buf[:nb], out_buf[:nb]
-            np.matmul(xb, layers[0], out=a1[:, :hidden])
+            np.matmul(xb, layers[0], out=a1[:, :HIDDEN])
             _sigmoid(a1)
-            a1[:, hidden] = 1.0
+            a1[:, HIDDEN] = 1.0
             np.matmul(a1, layers[1], out=a2)
             _sigmoid(a2)
             np.matmul(a2, weights[2], out=delta)
@@ -267,11 +264,11 @@ def train_mlp(samples, hyper: MlpHyper | None = None) -> MlpModel:
             np.subtract(1.0, a2, out=a2)
             d2 *= a2
             np.matmul(a1.T, d2, out=grads[1])
-            np.matmul(d2, weights[1].T, out=d1[:, :hidden])
+            np.matmul(d2, weights[1].T, out=d1[:, :HIDDEN])
             d1 *= a1
             np.subtract(1.0, a1, out=a1)
             d1 *= a1
-            np.matmul(xb.T, d1[:, :hidden], out=grads[0])
+            np.matmul(xb.T, d1[:, :HIDDEN], out=grads[0])
 
             step += 1
             c1 = 1.0 - beta1**step
@@ -286,7 +283,7 @@ def train_mlp(samples, hyper: MlpHyper | None = None) -> MlpModel:
             v += step_buf
             # theta -= lr (m / c1) / (sqrt(v / c2) + eps)
             np.divide(m, c1, out=step_buf)
-            step_buf *= hyper.lr
+            step_buf *= LR
             np.divide(v, c2, out=denom)
             np.sqrt(denom, out=denom)
             denom += eps
@@ -333,22 +330,19 @@ def split_by_sign(arr: np.ndarray):
     return throttle, brake
 
 
-def _fit_one_sign(arr: np.ndarray, kind: str, hyper: MlpHyper | None, seed: int):
+def _fit_one_sign(arr: np.ndarray, kind: str, seed: int):
     if len(arr) == 0:
         return None
     if kind == "nn":
-        return train_mlp(arr, MlpHyper(**{**(hyper or MlpHyper()).__dict__, "seed": seed}))
+        return train_mlp(arr, MlpHyper(seed=seed))
     if kind == "linear":
         return train_linear(arr)
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def _fit_both_signs(train_arr: np.ndarray, kind: str, hyper: MlpHyper | None, seed: int):
+def _fit_both_signs(train_arr: np.ndarray, kind: str, seed: int):
     throttle, brake = split_by_sign(train_arr)
-    return (
-        _fit_one_sign(throttle, kind, hyper, seed),
-        _fit_one_sign(brake, kind, hyper, seed + 1),
-    )
+    return _fit_one_sign(throttle, kind, seed), _fit_one_sign(brake, kind, seed + 1)
 
 
 def _predict_signed(throttle_model, brake_model, arr: np.ndarray) -> np.ndarray:
@@ -383,8 +377,8 @@ class CvReport:
 
 
 def _fold_metrics(args):
-    train_arr, test_arr, kind, hyper, seed = args
-    t_model, b_model = _fit_both_signs(train_arr, kind, hyper, seed)
+    train_arr, test_arr, kind, seed = args
+    t_model, b_model = _fit_both_signs(train_arr, kind, seed)
     pred = _predict_signed(t_model, b_model, test_arr)
     err = pred - test_arr[:, 2]
     return float(np.abs(err).mean()), float(np.sqrt((err**2).mean()))
@@ -394,18 +388,20 @@ def cross_validate(
     samples,
     folds: int = 10,
     kind: str = "nn",
-    hyper: MlpHyper | None = None,
     seed: int = 0,
     workers: int = 1,
 ) -> CvReport:
     """Seeded k-fold cross-validation scored on held-out folds only.
 
     Fold assignment shuffles once with the given seed; deadband samples are
-    excluded (neither sign's model owns them).  Folds are independent, so
+    excluded (neither sign's model owns them).  Fold ``k`` fits its throttle
+    net on seed ``seed + 1000 (k + 1)`` and its brake net on the next seed,
+    with the module's fixed network settings.  Folds are independent, so
     ``workers > 1`` fans them out over processes with unchanged results.
-    The process pool is imported only then: ``workers=1`` loads neither
-    ``concurrent.futures`` nor ``multiprocessing``.  Raises ValueError
-    unless ``folds`` is an integer >= 2.
+    ``workers`` stays only because the benchmark passes ``workers=1``; the
+    process pool is imported only for ``workers > 1``, so one worker loads
+    neither ``concurrent.futures`` nor ``multiprocessing``.  Raises
+    ValueError unless ``folds`` is an integer >= 2.
     """
     if not (_is_integer(folds) and folds >= 2):
         raise ValueError(f"folds must be an integer >= 2, got {folds!r}")
@@ -419,7 +415,7 @@ def cross_validate(
     # a generator: with one worker, only one fold's train/test copies exist
     # at a time
     jobs = (
-        (arr[assignment != k], arr[assignment == k], kind, hyper, seed + 1000 * (k + 1))
+        (arr[assignment != k], arr[assignment == k], kind, seed + 1000 * (k + 1))
         for k in range(folds)
     )
     if workers > 1:
@@ -440,20 +436,13 @@ def build_table(throttle_model, brake_model, speed_grid, cmd_grid) -> Calibratio
 
     Positive commands come from the throttle model, negative from the brake
     model, and the zero row blends the two models' zero-command limits.
+    Each model predicts all of its rows in one call.
     """
     speed_grid = np.asarray(speed_grid, dtype=float)
     cmd_grid = np.asarray(cmd_grid, dtype=float)
     acc = np.empty((len(cmd_grid), len(speed_grid)))
-    for i, cmd in enumerate(cmd_grid):
-        if cmd > 0:
-            acc[i] = throttle_model.predict(np.full_like(speed_grid, cmd), speed_grid)
-        elif cmd < 0:
-            acc[i] = brake_model.predict(np.full_like(speed_grid, cmd), speed_grid)
-        else:
-            zero = np.zeros_like(speed_grid)
-            acc[i] = 0.5 * (
-                throttle_model.predict(zero, speed_grid)
-                + brake_model.predict(zero, speed_grid)
-            )
+    up, down, zero = cmd_grid >= 0, cmd_grid < 0, cmd_grid == 0
+    acc[up] = throttle_model.predict(cmd_grid[up, None], speed_grid)
+    acc[down] = brake_model.predict(cmd_grid[down, None], speed_grid)
+    acc[zero] = 0.5 * (acc[zero] + brake_model.predict(cmd_grid[zero, None], speed_grid))
     return project_monotone(CalibrationTable(speed_grid, cmd_grid, acc))
-

@@ -42,10 +42,10 @@ class NonFiniteCommand(ValueError):
     """A control command that is NaN, refused before it reaches the plant."""
 
 
-def _power_law_map(f_max: float, exponent: float = 1.2, step: float = 5.0):
-    """Sample F = f_max * (cmd/100)^exponent as a piecewise-linear map."""
-    breaks = np.arange(0.0, 100.0 + step / 2, step)
-    force = f_max * (breaks / 100.0) ** exponent
+def _power_law_map(f_max: float):
+    """Sample F = f_max * (cmd/100)^1.2 every 5 % as a piecewise-linear map."""
+    breaks = np.arange(0.0, 102.5, 5.0)
+    force = f_max * (breaks / 100.0) ** 1.2
     return breaks, force
 
 

@@ -64,16 +64,15 @@ class ParseError(ValueError):
         self.line = line
 
 
-def default_speed_grid(v_max: float, step: float = 0.2) -> np.ndarray:
-    """Speed axis [0, v_max] every ``step`` m/s."""
-    n = int(round(v_max / step))
-    return np.round(np.arange(n + 1) * step, 9)
+def default_speed_grid(v_max: float) -> np.ndarray:
+    """Speed axis [0, v_max] every 0.2 m/s."""
+    n = int(round(v_max / 0.2))
+    return np.round(np.arange(n + 1) * 0.2, 9)
 
 
-def default_cmd_grid(step: float = 5.0) -> np.ndarray:
-    """Signed command axis [-100, 100] every ``step`` percent."""
-    n = int(round(100.0 / step))
-    return np.round(np.arange(-n, n + 1) * step, 9)
+def default_cmd_grid() -> np.ndarray:
+    """Signed command axis [-100, 100] every 5 percent."""
+    return np.arange(-20, 21) * 5.0
 
 
 @dataclass(frozen=True)
