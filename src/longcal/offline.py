@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .preprocess import _is_integer
 from .table import CalibrationTable, project_monotone
 
 DEADBAND_CMD = 2.0  # |cmd| below this is idle-creep ambiguity, not training data
@@ -38,6 +37,11 @@ class Singular(ValueError):
 
 class Degenerate(UserWarning):
     """All regression targets identical; the fit collapses to a constant."""
+
+
+def _is_integer(value) -> bool:
+    """An int or numpy integer, but not a bool, which Python counts as an int."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def as_sample_array(samples) -> np.ndarray:
@@ -401,10 +405,13 @@ def cross_validate(
     ``workers`` stays only because the benchmark passes ``workers=1``; the
     process pool is imported only for ``workers > 1``, so one worker loads
     neither ``concurrent.futures`` nor ``multiprocessing``.  Raises
-    ValueError unless ``folds`` is an integer >= 2.
+    ValueError before any work unless ``folds`` is an integer >= 2 and
+    ``seed`` an integer >= 0, neither a bool.
     """
     if not (_is_integer(folds) and folds >= 2):
         raise ValueError(f"folds must be an integer >= 2, got {folds!r}")
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     arr = as_sample_array(samples)
     arr = arr[np.abs(arr[:, 0]) > DEADBAND_CMD]
     if len(arr) < folds:

@@ -1,9 +1,11 @@
 """Data cleaning for calibration: offline log preparation and online feedback gating.
 
-Offline, a raw drive log is smoothed (a mean filter on the IMU channel),
-aligned (each frame paired with the command one actuator delay earlier),
-selected (one mask for steady, informative, straight frames) and binned on
-the grid with uniform per-cell downsampling and outlier removal.  Online,
+Offline, a raw drive log is smoothed (a ``MEAN_WINDOW`` mean on the IMU
+channel), aligned (each frame paired with the command one actuator delay
+earlier), selected (one mask for steady, informative, straight frames) and
+binned on the grid with uniform per-cell downsampling to ``CELL_CAP`` and
+outlier removal; the binned samples are one array (``GridBins``), and
+``offline_pipeline``'s one setting is the delay.  Online,
 per-cycle feedback is delay-aligned, low-pass filtered, and admitted only
 when the recent command history is steady and the speed/acceleration
 errors agree in sign.  Both sides share the threshold constants below.
@@ -16,20 +18,18 @@ import io
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
+from .table import check_grid
+
 MODE_MANUAL = "MANUAL"
 MODE_AUTO = "AUTO"
 
 LOG_HEADER = ["t", "cmd", "v", "acc", "theta", "mode"]
-
-
-class WindowTooLarge(ValueError):
-    """Mean filter window exceeds the series length."""
 
 
 class InvalidRate(ValueError):
@@ -61,6 +61,7 @@ CMD_LIMIT = 100.0  # %
 STEER_LIMIT = 10.0  # |steering| from which a frame is a turn: dropped offline and online
 CMD_GAP = 10.0  # command spread (%) around an issue time that marks a transition, both sides
 MEAN_WINDOW = 5  # samples in the offline IMU mean filter
+CELL_CAP = 50  # samples a grid cell keeps at most offline, drawn uniformly with seed 0
 CONSISTENCY_WINDOW = 0.1  # s either side of the issue time that the history gate reads
 FILTER_ORDER, FILTER_CUTOFF_HZ = 3, 2.0  # the online Butterworth low-pass
 
@@ -147,28 +148,6 @@ class DriveLog:
 # offline cleaning
 # ---------------------------------------------------------------------------
 
-def mean_filter(series, window: int) -> np.ndarray:
-    """Sliding mean over ``window`` consecutive samples.
-
-    Returns the means of every full window in order (length
-    ``len(series) - window + 1``); the value at output position k summarises
-    the window starting at input position k and stands in for the sample
-    that follows it.  ``window=1`` reproduces the input values.
-    """
-    series = np.asarray(series, dtype=float)
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if window > len(series):
-        raise WindowTooLarge(f"window {window} > series length {len(series)}")
-    kernel = np.full(window, 1.0 / window)
-    return np.convolve(series, kernel, mode="valid")
-
-
-def _is_integer(value) -> bool:
-    """An int or numpy integer, but not a bool, which Python counts as an int."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _outlier_mask(values: np.ndarray) -> np.ndarray:
     """Single-pass z-score mask: True where |x - mean| / std <= 1.
 
@@ -190,73 +169,64 @@ def nearest_cell_index(grid: np.ndarray, x) -> np.ndarray:
     return np.searchsorted(mids, np.asarray(x, dtype=float))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridBins:
-    """Per-cell acceleration samples keyed by (command index, speed index).
+    """The retained offline samples on the (command, speed) grid.
 
-    ``cells[(i, j)]`` holds rows ``(cmd, v, acc)`` of every retained sample
-    whose nearest grid point is ``(cmd_grid[i], speed_grid[j])``.
+    ``samples`` holds one read-only row ``(cmd, v, acc)`` per retained
+    frame, grouped by cell in (command, speed) index order and in log order
+    within a cell.  ``cell[k]`` is row k's flat cell index
+    ``i * len(speed_grid) + j``: its nearest grid point is
+    ``(cmd_grid[i], speed_grid[j])``.
     """
 
     cmd_grid: np.ndarray
     speed_grid: np.ndarray
-    cells: dict = field(default_factory=dict)
+    samples: np.ndarray
+    cell: np.ndarray
 
     def counts(self) -> np.ndarray:
-        out = np.zeros((len(self.cmd_grid), len(self.speed_grid)), dtype=int)
-        for (i, j), rows in self.cells.items():
-            out[i, j] = len(rows)
-        return out
+        """Retained samples per cell, shaped ``(len(cmd_grid), len(speed_grid))``."""
+        shape = (len(self.cmd_grid), len(self.speed_grid))
+        return np.bincount(self.cell, minlength=shape[0] * shape[1]).reshape(shape)
 
     def to_samples(self) -> np.ndarray:
-        """All retained rows (cmd, v, acc) stacked in cell order."""
-        if not self.cells:
-            return np.empty((0, 3))
-        return np.vstack([self.cells[key] for key in sorted(self.cells)])
+        """All retained rows ``(cmd, v, acc)``, in cell order."""
+        return self.samples
 
 
-def bin_and_uniform(cmd, v, acc, cmd_grid, speed_grid, cap: int = 50, seed: int = 0) -> GridBins:
-    """Assign samples ``(cmd, v, acc)``, three equal-length columns, to nearest grid cells.
+def _bin_and_uniform(cmd, v, acc, cmd_grid, speed_grid) -> GridBins:
+    """Assign samples ``(cmd, v, acc)`` to their nearest grid cells.
 
-    Cells holding more than ``cap`` samples are reduced to ``cap`` by a
-    seeded uniform draw without replacement, then each cell drops its
-    z-score > 1 outliers (of ``acc``).  No samples give empty bins.
+    Cells holding more than ``CELL_CAP`` samples are reduced to ``CELL_CAP``
+    by a uniform draw without replacement (one generator seeded with 0,
+    drawn cell by cell in order), then each cell drops its z-score > 1
+    outliers of ``acc``.  No samples give empty bins.
     """
-    if not (_is_integer(cap) and cap >= 1):
-        raise ValueError(f"cap must be an integer >= 1, got {cap!r}")
-    cmd, v, acc = (np.asarray(col, dtype=float) for col in (cmd, v, acc))
-    if not len(cmd) == len(v) == len(acc):
-        raise ValueError("cmd, v and acc must have equal length")
-    cmd_grid = np.asarray(cmd_grid, dtype=float)
-    speed_grid = np.asarray(speed_grid, dtype=float)
-
     ci = nearest_cell_index(cmd_grid, cmd)
     vi = nearest_cell_index(speed_grid, v)
     cell_id = ci * len(speed_grid) + vi
     order = np.argsort(cell_id, kind="stable")
-    sorted_ids = cell_id[order]
-    bounds = np.flatnonzero(np.r_[True, np.diff(sorted_ids) != 0, True])
+    bounds = np.flatnonzero(np.r_[True, np.diff(cell_id[order]) != 0, True])
 
-    rng = np.random.default_rng(seed)
-    bins = GridBins(cmd_grid=cmd_grid, speed_grid=speed_grid)
+    # per cell, so the draws and each cell's std are those of one cell alone
+    rng = np.random.default_rng(0)
+    kept = []
     for a, b in zip(bounds[:-1], bounds[1:]):
         idx = order[a:b]
-        if len(idx) > cap:
-            pick = rng.choice(len(idx), size=cap, replace=False)
-            idx = idx[np.sort(pick)]
-        keep = _outlier_mask(acc[idx])
-        idx = idx[keep]
-        if len(idx) == 0:
-            continue
-        key = (int(ci[idx[0]]), int(vi[idx[0]]))
-        bins.cells[key] = np.column_stack([cmd[idx], v[idx], acc[idx]])
-    return bins
+        if len(idx) > CELL_CAP:
+            idx = idx[np.sort(rng.choice(len(idx), size=CELL_CAP, replace=False))]
+        kept.append(idx[_outlier_mask(acc[idx])])
+    idx = np.concatenate(kept)
+    samples = np.column_stack([cmd[idx], v[idx], acc[idx]])
+    cell = cell_id[idx]
+    samples.setflags(write=False)
+    cell.setflags(write=False)
+    return GridBins(cmd_grid, speed_grid, samples, cell)
 
 
-def offline_pipeline(
-    log: DriveLog, cmd_grid, speed_grid, cap: int = 50, seed: int = 0, delay: float = 0.2
-) -> GridBins:
-    """Clean a raw log into binned training cells.
+def offline_pipeline(log: DriveLog, cmd_grid, speed_grid, delay: float = 0.2) -> GridBins:
+    """Clean a raw log into binned training samples.
 
     Stages: the IMU channel is smoothed with the ``MEAN_WINDOW`` samples
     preceding each frame (on the contiguous raw stream, before any frame is
@@ -266,30 +236,32 @@ def offline_pipeline(
     anything); one mask keeps the frames that are steady (their issuing
     commands spread less than ``CMD_GAP``), informative (not braking at
     standstill) and straight (|steering| below ``STEER_LIMIT``); and those
-    are binned with per-cell downsampling and outlier removal.  ``delay``
-    must be a finite number >= 0 and ``cap`` an integer >= 1, neither a bool.
+    are binned with per-cell downsampling to ``CELL_CAP`` and outlier
+    removal.  A log too short for the delay and the window gives empty
+    bins.  Raises ValueError before any work unless ``delay`` is a finite
+    number >= 0, not a bool, and both grids pass ``check_grid``.
     """
     if isinstance(delay, bool) or not (math.isfinite(delay) and delay >= 0.0):
         raise ValueError(f"delay must be a finite number >= 0, got {delay!r}")
-    if not (_is_integer(cap) and cap >= 1):
-        raise ValueError(f"cap must be an integer >= 1, got {cap!r}")
-    cmd_grid = np.asarray(cmd_grid, dtype=float)
-    speed_grid = np.asarray(speed_grid, dtype=float)
+    cmd_grid = check_grid("cmd_grid", cmd_grid)
+    speed_grid = check_grid("speed_grid", speed_grid)
+    nothing = np.empty(0)
     if len(log) < 2:
-        return GridBins(cmd_grid, speed_grid)
+        return _bin_and_uniform(nothing, nothing, nothing, cmd_grid, speed_grid)
     dt = float(np.median(np.diff(log.t)))
     # a delay longer than the log leaves nothing (and delay / dt may overflow)
     shift = int(round(min(delay / dt, len(log))))
     start = shift + MEAN_WINDOW
     if len(log) <= start:
-        return GridBins(cmd_grid, speed_grid)
+        return _bin_and_uniform(nothing, nothing, nothing, cmd_grid, speed_grid)
     # each frame from ``start`` on, as slices: its speed, the command issued
     # ``shift`` frames before it, and the mean IMU of the MEAN_WINDOW frames
     # before it
     end = len(log)
     cmd = log.cmd[start - shift : end - shift]
     v = log.v[start:]
-    acc = mean_filter(log.acc, MEAN_WINDOW)[start - MEAN_WINDOW : end - MEAN_WINDOW]
+    means = np.convolve(log.acc, np.full(MEAN_WINDOW, 1.0 / MEAN_WINDOW), "valid")
+    acc = means[start - MEAN_WINDOW : end - MEAN_WINDOW]
     # a frame is usable only when the commands that produced its smoothing
     # window were steady: cells visited solely mid-transition (full throttle
     # at standstill, say) cannot be measured and stay empty instead of
@@ -302,7 +274,7 @@ def offline_pipeline(
     v_still = 0.5 * float(speed_grid[1] - speed_grid[0])
     keep &= ~((cmd < 0.0) & (v < v_still))
     keep &= np.abs(log.theta[start:]) < STEER_LIMIT
-    return bin_and_uniform(cmd[keep], v[keep], acc[keep], cmd_grid, speed_grid, cap, seed)
+    return _bin_and_uniform(cmd[keep], v[keep], acc[keep], cmd_grid, speed_grid)
 
 
 # ---------------------------------------------------------------------------

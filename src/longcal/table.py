@@ -35,6 +35,7 @@ __all__ = [
     "MonotonicityViolation",
     "NonFiniteTable",
     "ParseError",
+    "check_grid",
     "default_cmd_grid",
     "default_speed_grid",
     "lookup_acc",
@@ -64,6 +65,22 @@ class ParseError(ValueError):
         self.line = line
 
 
+def check_grid(name: str, values) -> np.ndarray:
+    """``values`` as a new float array, once it passes as the grid ``name``.
+
+    Raises ValueError naming ``name`` unless the grid is 1-D with at least
+    two entries, all finite and strictly increasing.
+    """
+    grid = np.array(values, dtype=float)
+    if grid.ndim != 1 or len(grid) < 2:
+        raise ValueError(f"{name} needs at least two entries")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError(f"{name} must be finite")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError(f"{name} must be strictly increasing")
+    return grid
+
+
 def default_speed_grid(v_max: float) -> np.ndarray:
     """Speed axis [0, v_max] every 0.2 m/s."""
     n = int(round(v_max / 0.2))
@@ -79,14 +96,14 @@ def default_cmd_grid() -> np.ndarray:
 class CalibrationTable:
     """Dense grid ``acc[i][j]`` = acceleration at ``cmd_grid[i]``, ``speed_grid[j]``.
 
-    Grids must be strictly increasing with at least two entries; the value
-    matrix must match their shape and be finite everywhere.  Instances are
-    immutable: construction copies all three arrays and makes the copies
-    read-only, so neither a later write to the caller's arrays (or to the
-    base of a view) nor the caller's own arrays' writability is affected.
-    The online updater publishes changes by building a whole new table,
-    never by mutating one in place, so a reader always holds an internally
-    consistent snapshot.
+    Grids must pass ``check_grid`` (finite, strictly increasing, at least
+    two entries); the value matrix must match their shape and be finite
+    everywhere.  Instances are immutable: construction copies all three
+    arrays and makes the copies read-only, so neither a later write to the
+    caller's arrays (or to the base of a view) nor the caller's own arrays'
+    writability is affected.  The online updater publishes changes by
+    building a whole new table, never by mutating one in place, so a reader
+    always holds an internally consistent snapshot.
 
     Column monotonicity is *not* enforced at construction (a freshly updated
     table may be temporarily non-monotone; ``project_monotone`` restores it).
@@ -108,23 +125,15 @@ class CalibrationTable:
     acc: np.ndarray
 
     def __post_init__(self):
-        speed = np.array(self.speed_grid, dtype=float)
-        cmd = np.array(self.cmd_grid, dtype=float)
+        speed = check_grid("speed_grid", self.speed_grid)
+        cmd = check_grid("cmd_grid", self.cmd_grid)
         acc = np.array(self.acc, dtype=float)
-        if speed.ndim != 1 or len(speed) < 2:
-            raise ValueError("speed_grid needs at least two entries")
-        if cmd.ndim != 1 or len(cmd) < 2:
-            raise ValueError("cmd_grid needs at least two entries")
-        if np.any(np.diff(speed) <= 0):
-            raise ValueError("speed_grid must be strictly increasing")
-        if np.any(np.diff(cmd) <= 0):
-            raise ValueError("cmd_grid must be strictly increasing")
         if acc.shape != (len(cmd), len(speed)):
             raise ValueError(
                 f"acc shape {acc.shape} does not match |cmd_grid| x |speed_grid| "
                 f"= ({len(cmd)}, {len(speed)})"
             )
-        if not np.all(np.isfinite(acc)) or not np.all(np.isfinite(speed)) or not np.all(np.isfinite(cmd)):
+        if not np.all(np.isfinite(acc)):
             raise ValueError("table entries must all be finite")
         for name, arr in (("speed_grid", speed), ("cmd_grid", cmd), ("acc", acc)):
             arr.setflags(write=False)

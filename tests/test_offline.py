@@ -432,6 +432,18 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="folds"):
             cross_validate(arr, folds=folds, kind="linear")
 
+    @pytest.mark.parametrize("seed", [True, -1, 1.5])
+    def test_bad_seed_raises(self, seed, monkeypatch):
+        # none may run: True as seed 1, the others as numpy errors that do
+        # not name the seed
+        def no_fit(args):
+            raise AssertionError("a fold was fitted")
+
+        monkeypatch.setattr(offline_mod, "_fold_metrics", no_fit)
+        arr = sample_grid(np.random.default_rng(19), 200, noise=0.05)
+        with pytest.raises(ValueError, match="seed"):
+            cross_validate(arr, folds=4, kind="linear", seed=seed)
+
     def test_nn_beats_linear_on_curved_data(self):
         rng = np.random.default_rng(15)
         arr = sample_grid(rng, 4000, noise=0.02)

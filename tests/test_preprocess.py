@@ -10,6 +10,7 @@ from scipy.signal import butter, group_delay, lfilter, lfilter_zi
 
 import longcal
 from longcal.preprocess import (
+    CELL_CAP,
     CMD_GAP,
     CMD_LIMIT,
     CONSISTENCY_WINDOW,
@@ -25,11 +26,9 @@ from longcal.preprocess import (
     NonFiniteFrame,
     OnlinePreprocessor,
     TimestampNotIncreasing,
-    WindowTooLarge,
+    _bin_and_uniform,
     _outlier_mask,
-    bin_and_uniform,
     command_consistency_gate,
-    mean_filter,
     nearest_cell_index,
     offline_pipeline,
     speed_acc_consistency_gate,
@@ -47,25 +46,6 @@ def make_log(n=100, cmd=None, v=None, acc=None, theta=None, mode=None, dt=0.01):
     return DriveLog(t, cmd, v, acc, theta, mode)
 
 
-class TestMeanFilter:
-    def test_constant_series(self):
-        for n in (1, 3, 7):
-            out = mean_filter(np.full(20, 4.5), n)
-            assert np.allclose(out, 4.5)
-
-    def test_hand_average(self):
-        out = mean_filter([1.0, 2.0, 3.0, 4.0], 2)
-        assert np.allclose(out, [1.5, 2.5, 3.5])
-
-    def test_window_one_is_identity_on_values(self):
-        series = np.array([3.0, -1.0, 2.0])
-        assert np.array_equal(mean_filter(series, 1), series)
-
-    def test_window_too_large(self):
-        with pytest.raises(WindowTooLarge):
-            mean_filter([1.0, 2.0], 3)
-
-
 class TestSteeringGate:
     """offline_pipeline's steering selection, on a log steady in command and speed."""
 
@@ -73,13 +53,15 @@ class TestSteeringGate:
     START = round(0.2 / 0.01) + MEAN_WINDOW
 
     def kept(self, theta):
-        """Indices of the frames offline_pipeline keeps; each frame's speed encodes its index."""
+        """Indices of the frames offline_pipeline keeps.
+
+        Each frame's speed is its index, and each index has its own speed
+        cell, so no cell reaches ``CELL_CAP``.
+        """
         n = len(theta)
-        log = make_log(
-            n=n, cmd=np.full(n, 50.0), v=1.0 + 1e-4 * np.arange(n), acc=np.full(n, 0.5), theta=theta
-        )
-        bins = offline_pipeline(log, np.array([0.0, 50.0, 100.0]), np.array([0.0, 1.0, 2.0]), cap=n)
-        return np.rint((bins.to_samples()[:, 1] - 1.0) / 1e-4).astype(int)
+        log = make_log(n=n, cmd=np.full(n, 50.0), v=np.arange(n), acc=np.full(n, 0.5), theta=theta)
+        bins = offline_pipeline(log, np.array([0.0, 50.0, 100.0]), np.arange(n, dtype=float))
+        return np.rint(bins.to_samples()[:, 1]).astype(int)
 
     def test_all_straight_retained(self):
         assert np.array_equal(self.kept(np.zeros(50)), np.arange(self.START, 50))
@@ -127,24 +109,25 @@ class TestBinAndUniform:
         rng = np.random.default_rng(1)
         n = 60
         cols = (rng.uniform(-100, 100, n), rng.uniform(0, 3, n), np.zeros(n))
-        bins = bin_and_uniform(*cols, np.linspace(-100, 100, 5), np.linspace(0, 3, 4), cap=100)
+        bins = _bin_and_uniform(*cols, np.linspace(-100, 100, 5), np.linspace(0, 3, 4))
         assert bins.counts().sum() == n
 
     def test_cap_semantics(self):
         cols = (np.full(1000, 20.0), np.full(1000, 1.0), np.zeros(1000))
-        bins = bin_and_uniform(*cols, np.linspace(-100, 100, 5), np.linspace(0, 3, 4), cap=100)
-        assert bins.counts().sum() == 100
+        bins = _bin_and_uniform(*cols, np.linspace(-100, 100, 5), np.linspace(0, 3, 4))
+        assert bins.counts().sum() == CELL_CAP
 
     def test_seeded_reproducible(self):
+        # six cells of 60 to 130 samples each: every cell is drawn down to CELL_CAP
         rng = np.random.default_rng(2)
         n = 500
         cols = (rng.uniform(-100, 100, n), rng.uniform(0, 3, n), rng.normal(0, 1, n))
-        grids = (np.linspace(-100, 100, 9), np.linspace(0, 3, 4))
-        a = bin_and_uniform(*cols, *grids, cap=10, seed=42)
-        b = bin_and_uniform(*cols, *grids, cap=10, seed=42)
-        assert sorted(a.cells) == sorted(b.cells)
-        for key in a.cells:
-            assert np.array_equal(a.cells[key], b.cells[key])
+        grids = (np.linspace(-100, 100, 3), np.linspace(0, 3, 2))
+        a = _bin_and_uniform(*cols, *grids)
+        b = _bin_and_uniform(*cols, *grids)
+        assert a.counts().max() <= CELL_CAP
+        assert np.array_equal(a.counts(), b.counts())
+        assert np.array_equal(a.to_samples(), b.to_samples())
 
     def test_samples_inside_cell_bounds(self):
         rng = np.random.default_rng(3)
@@ -152,12 +135,14 @@ class TestBinAndUniform:
         cmd_grid = np.linspace(-100, 100, 9)
         speed_grid = np.linspace(0, 3, 7)
         cols = (rng.uniform(-100, 100, n), rng.uniform(0, 3, n), rng.normal(0, 1, n))
-        bins = bin_and_uniform(*cols, cmd_grid, speed_grid, cap=100)
+        bins = _bin_and_uniform(*cols, cmd_grid, speed_grid)
         half_c = 0.5 * (cmd_grid[1] - cmd_grid[0])
         half_v = 0.5 * (speed_grid[1] - speed_grid[0])
-        for (i, j), rows in bins.cells.items():
-            assert np.all(np.abs(rows[:, 0] - cmd_grid[i]) <= half_c + 1e-12)
-            assert np.all(np.abs(rows[:, 1] - speed_grid[j]) <= half_v + 1e-12)
+        i, j = np.divmod(bins.cell, len(speed_grid))
+        rows = bins.to_samples()
+        assert np.all(np.abs(rows[:, 0] - cmd_grid[i]) <= half_c + 1e-12)
+        assert np.all(np.abs(rows[:, 1] - speed_grid[j]) <= half_v + 1e-12)
+        assert np.all(np.diff(bins.cell) >= 0)
 
     def test_nearest_cell_index(self):
         grid = np.array([0.0, 1.0, 2.0])
@@ -315,30 +300,59 @@ class TestOfflinePipeline:
             acc=rng.normal(0.5, 0.05, n),
             theta=np.where(np.arange(n) % 10 == 0, 30.0, 0.0),
         )
-        bins = offline_pipeline(
-            log, np.linspace(-100, 100, 9), np.linspace(0, 3, 4), cap=20, seed=0
-        )
+        bins = offline_pipeline(log, np.linspace(-100, 100, 9), np.linspace(0, 3, 4))
         counts = bins.counts()
         assert counts.sum() > 0
-        assert counts.max() <= 20
+        assert counts.max() <= CELL_CAP
 
     @pytest.mark.parametrize(
         "args",
         [
             # none may run: a NaN or negative delay as no shift, True as a
-            # 1 s delay or a cap of one
+            # 1 s delay
             pytest.param(dict(delay=float("nan")), id="delay-nan"),
             pytest.param(dict(delay=-0.2), id="delay-negative"),
             pytest.param(dict(delay=float("inf")), id="delay-inf"),
             pytest.param(dict(delay=True), id="delay-bool"),
-            pytest.param(dict(cap=True), id="cap-bool"),
-            pytest.param(dict(cap=2.5), id="cap-fraction"),
-            pytest.param(dict(cap=0), id="cap-zero"),
         ],
     )
     def test_invalid_arguments_raise(self, args, ax1_log):
         with pytest.raises(ValueError, match=next(iter(args))):
             offline_pipeline(ax1_log, *ax1().table_grids(), **args)
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            # none may bin: each is a grid no CalibrationTable accepts, and a
+            # one-entry speed grid has no spacing for the standstill threshold
+            pytest.param("speed_grid", lambda g: g[:1], id="speed-one-entry"),
+            pytest.param("speed_grid", lambda g: g[::-1], id="speed-reversed"),
+            pytest.param("cmd_grid", lambda g: g[::-1], id="cmd-reversed"),
+            pytest.param("speed_grid", lambda g: np.r_[g[:3], np.nan, g[4:]], id="speed-nan"),
+            pytest.param("cmd_grid", lambda g: np.r_[g[:3], g[2], g[4:]], id="cmd-repeated"),
+        ],
+    )
+    def test_invalid_grid_raises(self, name, bad, ax1_log):
+        grids = dict(zip(("cmd_grid", "speed_grid"), ax1().table_grids()))
+        grids[name] = bad(grids[name])
+        with pytest.raises(ValueError, match=name):
+            offline_pipeline(ax1_log, **grids)
+
+    @pytest.mark.parametrize("delay", [0.2, 0.0])
+    def test_filter_and_delay_alignment(self, delay):
+        # a command steady to the gate yet distinct per frame, a speed equal
+        # to the frame index (one speed cell per frame), and a curved IMU ramp
+        n, dt = 40, 0.01
+        k = np.arange(n)
+        raw = (0.1 * k) ** 2 - 0.3 * k
+        log = make_log(n=n, cmd=50.0 + 0.01 * k, v=k, acc=raw, dt=dt)
+        rows = offline_pipeline(log, np.array([0.0, 50.0, 100.0]), k.astype(float), delay=delay).to_samples()
+        shift = round(delay / dt)
+        frames = np.rint(rows[:, 1]).astype(int)
+        assert np.array_equal(frames, np.arange(shift + MEAN_WINDOW, n))
+        assert np.array_equal(rows[:, 0], log.cmd[frames - shift])
+        means = [raw[f - MEAN_WINDOW : f].mean() for f in frames]
+        np.testing.assert_allclose(rows[:, 2], means, rtol=0, atol=1e-12)
 
     def test_delay_beyond_the_log_keeps_nothing(self, ax1_log):
         grids = ax1().table_grids()
@@ -349,9 +363,12 @@ class TestOfflinePipeline:
     def test_mean_filter_reduces_noise(self):
         rng = np.random.default_rng(7)
         n = 5000
-        log = make_log(n=n, cmd=np.full(n, 50.0), v=np.full(n, 1.0), acc=rng.normal(1.0, 0.05, n))
-        bins = offline_pipeline(log, np.array([0.0, 50.0, 100.0]), np.array([0.0, 1.0, 2.0]), cap=5000)
-        accs = bins.cells[(1, 1)][:, 2]
+        # speeds spread over 200 cells of about 25 frames: none reaches CELL_CAP
+        v = np.linspace(0.0, 1.99, n)
+        log = make_log(n=n, cmd=np.full(n, 50.0), v=v, acc=rng.normal(1.0, 0.05, n))
+        bins = offline_pipeline(log, np.array([0.0, 50.0, 100.0]), np.arange(200) * 0.01)
+        assert bins.counts().max() < CELL_CAP
+        accs = bins.to_samples()[:, 2]
         assert len(accs) > 100
         assert accs.std() < 0.05 / np.sqrt(5) * 1.5
 
