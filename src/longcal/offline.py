@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .table import CalibrationTable, project_monotone
+from .table import CalibrationTable, check_number, project_monotone
 
 DEADBAND_CMD = 2.0  # |cmd| below this is idle-creep ambiguity, not training data
 HIDDEN = 16  # units in each of the network's two hidden layers
@@ -37,11 +37,6 @@ class Singular(ValueError):
 
 class Degenerate(UserWarning):
     """All regression targets identical; the fit collapses to a constant."""
-
-
-def _is_integer(value) -> bool:
-    """An int or numpy integer, but not a bool, which Python counts as an int."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def as_sample_array(samples) -> np.ndarray:
@@ -76,8 +71,7 @@ class MlpHyper:
     epochs = EPOCHS
 
     def __post_init__(self):
-        if not (_is_integer(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        check_number("seed", self.seed, 0, integer=True)
 
 
 def _sigmoid(z):
@@ -408,10 +402,8 @@ def cross_validate(
     ValueError before any work unless ``folds`` is an integer >= 2 and
     ``seed`` an integer >= 0, neither a bool.
     """
-    if not (_is_integer(folds) and folds >= 2):
-        raise ValueError(f"folds must be an integer >= 2, got {folds!r}")
-    if not (_is_integer(seed) and seed >= 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    check_number("folds", folds, 2, integer=True)
+    check_number("seed", seed, 0, integer=True)
     arr = as_sample_array(samples)
     arr = arr[np.abs(arr[:, 0]) > DEADBAND_CMD]
     if len(arr) < folds:

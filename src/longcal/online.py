@@ -22,6 +22,9 @@ non-finite gain is refused before the step; the result passes
 ``invert`` and the plausibility bound ``ACC_MEAS_LIMIT`` and is published
 by atomic whole-table replacement: a reader always sees either the old or
 the new table, never a mixture.
+
+``OnlineCalibrator.step`` returns each update it publishes as an
+``OnlineUpdate``, the one record of the feedback and gain it applied.
 """
 
 from __future__ import annotations
@@ -29,16 +32,19 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
 from .preprocess import ACC_MEAS_LIMIT, OnlineFeedback
-from .table import CalibrationTable, NonFiniteTable, _monotone_columns, invert
+from .table import CalibrationTable, NonFiniteTable, _monotone_columns, check_number, invert
 
 __all__ = [
     "ImplausibleTable",
     "OnlineConfig",
     "OnlineCalibrator",
+    "OnlineUpdate",
     "update_table",
     "publish",
 ]
@@ -73,9 +79,7 @@ class OnlineConfig:
     sigma: float = 0.05
 
     def __post_init__(self):
-        sigma = self.sigma
-        if isinstance(sigma, bool) or not (math.isfinite(sigma) and 0.0 < sigma <= 1.0):
-            raise ValueError(f"sigma must be finite and lie in (0, 1], got {sigma!r}")
+        check_number("sigma", self.sigma, 0.0, above=True, high=1.0)
 
 
 def _span(grid: list[float], x: float, half: float) -> slice:
@@ -201,6 +205,25 @@ def publish(state: OnlineCalibrator, new_table: CalibrationTable) -> None:
     state._published = (new_table, state.revision + 1)
 
 
+class OnlineUpdate(NamedTuple):
+    """One update ``OnlineCalibrator.step`` published, and the feedback it applied.
+
+    ``cmd_ref``, ``v_ref``, ``acc_ref`` and ``acc_k`` are the fields of the
+    feedback ``step`` passed to ``update_table``; ``seconds`` is the wall
+    time of ``update_table`` plus ``publish``.
+    """
+
+    cycle: int  # the calibrator's cycle count at the update, from 1
+    cmd_ref: float
+    v_ref: float
+    acc_ref: float
+    acc_k: float
+    gain: float  # acc_ref - acc_k, the error the cells stepped toward
+    updated_cells: int  # cells in the full-strength window (_window): the ones _cost_matrix gives zero cost
+    revision: int  # the revision publish gave the new table
+    seconds: float
+
+
 class OnlineCalibrator:
     """Session state and driver: one ``step`` per control cycle.
 
@@ -234,14 +257,21 @@ class OnlineCalibrator:
         """One consistent (table, revision) pair."""
         return self._published
 
-    def step(self, v_expected: float, v_actual: float, feedback: OnlineFeedback | None) -> bool:
-        """Run one cycle; returns True when a new table was published."""
+    def step(self, v_expected: float, v_actual: float, feedback: OnlineFeedback | None) -> OnlineUpdate | None:
+        """Run one cycle; returns the ``OnlineUpdate`` it published, or None if it published nothing."""
         self.cycle += 1
         # converged: expected and actual speed agree within GAMMA_V
         if abs(v_expected - v_actual) <= GAMMA_V or feedback is None:
-            return False
+            return None
+        t0 = perf_counter()
         new_table = update_table(self, feedback, self.cfg)
         if new_table is self.table:
-            return False
+            return None
         publish(self, new_table)
-        return True
+        seconds = perf_counter() - t0
+        rows, cols = _window(self.init_table, feedback)
+        cells = (rows.stop - rows.start) * (cols.stop - cols.start)
+        return OnlineUpdate(
+            self.cycle, feedback.cmd_ref, feedback.v_ref, feedback.acc_ref, feedback.acc_k,
+            feedback.acc_ref - feedback.acc_k, cells, self.revision, seconds,
+        )

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .table import check_grid
+from .table import check_grid, check_number
 
 MODE_MANUAL = "MANUAL"
 MODE_AUTO = "AUTO"
@@ -241,8 +241,7 @@ def offline_pipeline(log: DriveLog, cmd_grid, speed_grid, delay: float = 0.2) ->
     bins.  Raises ValueError before any work unless ``delay`` is a finite
     number >= 0, not a bool, and both grids pass ``check_grid``.
     """
-    if isinstance(delay, bool) or not (math.isfinite(delay) and delay >= 0.0):
-        raise ValueError(f"delay must be a finite number >= 0, got {delay!r}")
+    check_number("delay", delay, 0.0)
     cmd_grid = check_grid("cmd_grid", cmd_grid)
     speed_grid = check_grid("speed_grid", speed_grid)
     nothing = np.empty(0)
@@ -437,11 +436,7 @@ class OnlinePreprocessor:
     """
 
     def __init__(self, sample_rate: float, delay: float = 0.2):
-        if isinstance(delay, bool) or not (math.isfinite(delay) and delay >= CONSISTENCY_WINDOW):
-            raise ValueError(
-                f"delay must be a finite number covering the {CONSISTENCY_WINDOW:g} s "
-                f"consistency window, got {delay!r}"
-            )
+        check_number("delay", delay, CONSISTENCY_WINDOW)
         # the filter validates the rate, so it is built before dividing by it
         self._filter = ButterworthFilter(sample_rate)
         self.sample_rate = float(sample_rate)

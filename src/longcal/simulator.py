@@ -25,17 +25,14 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .online import OnlineCalibrator, OnlineConfig, _window
+from .online import OnlineCalibrator, OnlineConfig, OnlineUpdate
 from .preprocess import CMD_LIMIT, MODE_AUTO, MODE_MANUAL, DriveLog, OnlinePreprocessor, nearest_cell_index
-from .table import CalibrationTable, default_cmd_grid, default_speed_grid, invert, lookup_acc, lookup_cmd
+from .table import (CalibrationTable, check_grid, check_number, default_cmd_grid, default_speed_grid, invert,
+                    lookup_acc, lookup_cmd)
 
 
 class Diverged(RuntimeError):
     """Sustained speed error beyond any plausible tracking failure."""
-
-
-class EmptyTrace(ValueError):
-    """Metrics requested over an empty trace."""
 
 
 class NonFiniteCommand(ValueError):
@@ -53,10 +50,11 @@ def _power_law_map(f_max: float):
 class PlantConfig:
     """Physical constants of the simulated vehicle, checked at construction.
 
-    ``mass``, ``sample_rate`` and ``v_max`` must be finite and positive;
-    ``load``, ``drag``, ``rolling``, ``delay`` and ``noise_std`` finite and
-    non-negative, and no value a bool.  The force maps must be finite,
-    matching and monotone.
+    Each number must pass ``check_number``: ``mass``, ``sample_rate`` and
+    ``v_max`` finite and positive, ``load``, ``drag``, ``rolling``,
+    ``delay`` and ``noise_std`` finite and non-negative, and no value a
+    bool.  Each force map's breakpoints must pass ``check_grid``, and its
+    forces be finite, non-decreasing and one per breakpoint.
     """
 
     mass: float
@@ -77,25 +75,15 @@ class PlantConfig:
             ("mass", True), ("load", False), ("drag", False), ("rolling", False), ("delay", False),
             ("noise_std", False), ("sample_rate", True), ("v_max", True),
         ):
-            value = getattr(self, name)
-            in_range = value > 0 if positive else value >= 0
-            if isinstance(value, bool) or not (math.isfinite(value) and in_range):
-                bound = "> 0" if positive else ">= 0"
-                raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
-        for name in ("throttle_breaks", "throttle_force", "brake_breaks", "brake_force"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        for breaks, force in (
-            (self.throttle_breaks, self.throttle_force),
-            (self.brake_breaks, self.brake_force),
-        ):
-            if len(breaks) != len(force) or len(breaks) < 2:
-                raise ValueError("force maps need matching breakpoints")
-            if np.any(np.diff(breaks) <= 0) or np.any(np.diff(force) < 0):
-                raise ValueError("force maps must be monotone")
+            check_number(name, getattr(self, name), 0.0, above=positive)
+        for breaks, force in (("throttle_breaks", "throttle_force"), ("brake_breaks", "brake_force")):
+            grid = check_grid(breaks, getattr(self, breaks))
+            values = np.array(getattr(self, force), dtype=float)
+            if values.shape != grid.shape or not np.all(np.isfinite(values)) or np.any(np.diff(values) < 0):
+                raise ValueError(f"{force} must be finite, non-decreasing and one per entry of {breaks}")
+            for name, arr in ((breaks, grid), (force, values)):
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
     @property
     def total_mass(self) -> float:
@@ -278,14 +266,12 @@ class Plant:
 # ---------------------------------------------------------------------------
 
 def _frame_count(duration: float, sample_rate: float) -> int:
-    """Frames in ``duration`` seconds; ValueError unless it is finite and gives at least one."""
+    """Frames in ``duration`` seconds; ValueError unless it is finite, not a bool, and gives at least one."""
+    check_number("duration", duration, 0.0, above=True)
     frames = duration * sample_rate
     n = int(round(frames)) if math.isfinite(frames) else 0
     if n < 1:
-        raise ValueError(
-            f"duration must be finite and give at least one frame at {sample_rate} Hz, "
-            f"got {duration!r}"
-        )
+        raise ValueError(f"duration must give at least one frame at {sample_rate} Hz, got {duration!r}")
     return n
 
 
@@ -305,10 +291,12 @@ def generate_drive_log(
     write per column, and the dwell's steering noise in one draw of as many
     values as the dwell took frames, after its last frame.
     That draw consumes the generator stream exactly as one scalar draw per
-    frame does.  Raises ValueError unless ``duration`` is finite and gives
-    at least one frame, before any draw.
+    frame does.  Raises ValueError, before any draw, unless ``duration`` is
+    finite and gives at least one frame and ``seed`` is an integer >= 0,
+    neither a bool.
     """
     n = _frame_count(duration, config.sample_rate)
+    check_number("seed", seed, 0, integer=True)
     rng = np.random.default_rng(seed)
     plant = Plant(config)
     hold = plant.hold
@@ -361,19 +349,20 @@ def generate_drive_log(
 # ---------------------------------------------------------------------------
 
 class SpeedProfile:
-    """Piecewise-linear desired speed with its slope as desired acceleration."""
+    """Piecewise-linear desired speed with its slope as desired acceleration.
+
+    ``t_points`` must pass ``check_grid``, and ``v_points`` be finite with
+    one speed per time; ValueError otherwise.
+    """
 
     def __init__(self, t_points, v_points):
-        self.t_points = np.asarray(t_points, dtype=float)
-        self.v_points = np.asarray(v_points, dtype=float)
-        if len(self.t_points) != len(self.v_points) or len(self.t_points) < 2:
-            raise ValueError("profile needs matching t/v breakpoints")
-        if np.any(np.diff(self.t_points) <= 0):
-            raise ValueError("profile times must increase")
-        self._slopes = np.diff(self.v_points) / np.diff(self.t_points)
+        self.t_points = check_grid("t_points", t_points)
+        self.v_points = np.array(v_points, dtype=float)
+        if self.v_points.shape != self.t_points.shape or not np.all(np.isfinite(self.v_points)):
+            raise ValueError("v_points must be finite, one speed per entry of t_points")
         self._t_list = self.t_points.tolist()
         self._v_list = self.v_points.tolist()
-        self._s_list = self._slopes.tolist()
+        self._s_list = (np.diff(self.v_points) / np.diff(self.t_points)).tolist()
 
     @property
     def duration(self) -> float:
@@ -396,11 +385,10 @@ def trapezoid_profile(v_max: float, duration: float) -> SpeedProfile:
     Peak speeds rotate through a spread of the usable range so every band
     of the table sees traffic.  Ramps climb and fall at ``0.13 * v_max``
     per second, scaled to the vehicle's envelope.  Raises ValueError unless
-    ``v_max`` and ``duration`` are finite and positive.
+    ``v_max`` and ``duration`` are finite and positive, neither a bool.
     """
-    for name, value in (("v_max", v_max), ("duration", duration)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    check_number("v_max", v_max, 0.0, above=True)
+    check_number("duration", duration, 0.0, above=True)
     accel = 0.13 * v_max  # 0.4 m/s^2 on a 3 m/s vehicle
     peaks = [0.5, 0.85, 1.0, 0.65]
     t_pts = [0.0]
@@ -423,12 +411,10 @@ def trapezoid_profile(v_max: float, duration: float) -> SpeedProfile:
 
 @dataclass
 class TrackingMetrics:
-    """Aggregate speed and station error for one run."""
+    """Mean absolute speed and station error of one run."""
 
     speed_mae: float
-    speed_rmse: float
     station_mae: float
-    station_rmse: float
 
 
 @dataclass
@@ -442,54 +428,27 @@ class RunTrace:
     station: np.ndarray
     cmd: np.ndarray
 
-    @property
-    def speed_error(self) -> np.ndarray:
-        return self.v_des - self.v
-
-    @property
-    def station_error(self) -> np.ndarray:
-        return self.station_des - self.station
-
     def __len__(self):
         return len(self.t)
 
 
 def compute_metrics(trace: RunTrace) -> TrackingMetrics:
-    """MAE and RMSE of the speed and station error series."""
-    if len(trace) == 0:
-        raise EmptyTrace("cannot aggregate an empty trace")
-    ev = trace.speed_error
-    es = trace.station_error
+    """Mean absolute speed and station error over a trace of at least one frame."""
     return TrackingMetrics(
-        speed_mae=float(np.abs(ev).mean()),
-        speed_rmse=float(np.sqrt((ev**2).mean())),
-        station_mae=float(np.abs(es).mean()),
-        station_rmse=float(np.sqrt((es**2).mean())),
+        speed_mae=float(np.abs(trace.v_des - trace.v).mean()),
+        station_mae=float(np.abs(trace.station_des - trace.station).mean()),
     )
 
 
 @dataclass
-class OnlineSessionEvent:
-    """One admitted feedback event and the update it caused."""
-
-    cycle: int
-    t: float
-    cmd_ref: float
-    v_ref: float
-    acc_ref: float
-    acc_k: float
-    gain: float
-    updated_cells: int  # cells in the full-strength window (online._window): the ones _cost_matrix gives zero cost
-    revision: int
-
-
-@dataclass
 class RunResult:
+    """One run; an event came ``(event.cycle - 1) * (1 / sample_rate)`` seconds into it."""
+
     metrics: TrackingMetrics
     trace: RunTrace
     table: CalibrationTable  # final controller table (adapted when online)
-    events: list  # OnlineSessionEvent per published update
-    update_seconds: np.ndarray  # latency of update_table + publish per event
+    events: list[OnlineUpdate]  # what OnlineCalibrator.step returned for each update it published
+    update_seconds: np.ndarray  # the events' seconds: update_table + publish per event
     visited_cells: np.ndarray  # bool grid of cells with admitted feedback, marked once after the run
 
 
@@ -512,15 +471,15 @@ def run_closed_loop(
     adapts every cycle from gated feedback; otherwise it stays frozen.  The
     controller always reads the latest published snapshot.  Raises
     ValueError, before any set-up, unless ``duration`` (the profile's by
-    default) is finite and gives at least one cycle; Diverged when the
-    speed error exceeds ``DIVERGE_LIMIT`` for a sustained second; and
-    NonFiniteCommand, before the plant steps, when the command clamped to
-    ``CMD_LIMIT`` is NaN (an infinite one clamps to the limit).
+    default) is finite and gives at least one cycle and ``seed`` is an
+    integer >= 0, neither a bool; Diverged when the speed error exceeds
+    ``DIVERGE_LIMIT`` for a sustained second; and NonFiniteCommand, before
+    the plant steps, when the command clamped to ``CMD_LIMIT`` is NaN (an
+    infinite one clamps to the limit).
     """
-    import time as _time
-
     duration = profile.duration if duration is None else duration
     n = _frame_count(duration, config.sample_rate)
+    check_number("seed", seed, 0, integer=True)
     if online is True:
         online = OnlineConfig()
     plant = Plant(config)
@@ -540,10 +499,8 @@ def run_closed_loop(
     marked_cmd = np.empty(n)
     marked_v = np.empty(n)
     marked = 0
-    events: list[OnlineSessionEvent] = []
-    latencies: list[float] = []
+    events: list[OnlineUpdate] = []
 
-    t_col = np.empty(n)
     vdes_col = np.empty(n)
     v_col = np.empty(n)
     cmd_col = np.empty(n)
@@ -579,38 +536,18 @@ def run_closed_loop(
             t, cmd=cmd, v=s.v, acc_meas=acc_meas, acc_expected=acc_pred,
             v_expected=v_des, mode=MODE_AUTO,
         )
-        updated = False
-        if cal is not None:
-            before_rev = cal.revision
-            t0 = _time.perf_counter()
-            updated = cal.step(v_des, s.v, feedback)
-            elapsed = _time.perf_counter() - t0
+        update = cal.step(v_des, s.v, feedback) if cal is not None else None
         # a static run marks every admitted feedback, an online run the
         # feedback it published an update from
-        if updated or (cal is None and feedback is not None):
-            marked_cmd[marked] = feedback.cmd_ref
-            marked_v[marked] = feedback.v_ref
+        mark = feedback if cal is None else update
+        if mark is not None:
+            marked_cmd[marked] = mark.cmd_ref
+            marked_v[marked] = mark.v_ref
             marked += 1
-        if updated:
-            latencies.append(elapsed)
-            rows, cols = _window(cal.init_table, feedback)
-            events.append(
-                OnlineSessionEvent(
-                    cycle=cal.cycle,
-                    t=t,
-                    cmd_ref=feedback.cmd_ref,
-                    v_ref=feedback.v_ref,
-                    acc_ref=feedback.acc_ref,
-                    acc_k=feedback.acc_k,
-                    gain=feedback.acc_ref - feedback.acc_k,
-                    updated_cells=(rows.stop - rows.start) * (cols.stop - cols.start),
-                    revision=cal.revision,
-                )
-            )
-            assert cal.revision == before_rev + 1
+        if update is not None:
+            events.append(update)
 
         station_des += v_des * dt
-        t_col[k] = t
         vdes_col[k] = v_des
         v_col[k] = s.v
         cmd_col[k] = cmd
@@ -633,13 +570,13 @@ def run_closed_loop(
         nearest_cell_index(speed_grid, marked_v[:marked]),
     ] = True
     trace = RunTrace(
-        t=t_col, v_des=vdes_col, v=v_col, station_des=sdes_col, station=s_col, cmd=cmd_col
+        t=np.arange(n) * dt, v_des=vdes_col, v=v_col, station_des=sdes_col, station=s_col, cmd=cmd_col
     )
     return RunResult(
         metrics=compute_metrics(trace),
         trace=trace,
         table=cal.table if cal is not None else table,
         events=events,
-        update_seconds=np.asarray(latencies),
+        update_seconds=np.array([e.seconds for e in events]),
         visited_cells=visited,
     )

@@ -25,6 +25,7 @@ NaN query returns NaN.
 from __future__ import annotations
 
 import io
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -36,6 +37,7 @@ __all__ = [
     "NonFiniteTable",
     "ParseError",
     "check_grid",
+    "check_number",
     "default_cmd_grid",
     "default_speed_grid",
     "lookup_acc",
@@ -79,6 +81,23 @@ def check_grid(name: str, values) -> np.ndarray:
     if np.any(np.diff(grid) <= 0):
         raise ValueError(f"{name} must be strictly increasing")
     return grid
+
+
+def check_number(name: str, value, low, *, above=False, high=math.inf, integer=False) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` passes as that setting.
+
+    The value must be finite, at least ``low`` (above it when ``above``) and
+    at most ``high``; an int or numpy integer when ``integer``.  A bool,
+    Python's or numpy's, is refused: it would pass as 0 or 1.
+    """
+    if integer:
+        ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    else:
+        ok = not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
+    if not (ok and (value > low if above else value >= low) and value <= high):
+        op = ">" if above else ">="
+        bound = f"{op} {low:g}" if high == math.inf else f"in {'(' if above else '['}{low:g}, {high:g}]"
+        raise ValueError(f"{name} must be {'an integer' if integer else 'finite and'} {bound}, got {value!r}")
 
 
 def default_speed_grid(v_max: float) -> np.ndarray:
@@ -353,44 +372,38 @@ def deserialize(text: str) -> CalibrationTable:
     """Parse table text written by ``serialize``.
 
     Blank lines and ``#`` comments are skipped.  Raises ParseError (with the
-    offending line number) on structural problems: missing headers,
-    non-increasing grids, ragged or non-finite rows.
+    offending line number) on structural problems: missing headers, a grid
+    that fails ``check_grid``, ragged or non-finite rows.
     """
-    speed_grid = None
-    cmd_grid = None
+    grids: list[np.ndarray] = []  # speed_grid, then cmd_grid
     rows: list[np.ndarray] = []
     header_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if speed_grid is None:
-            if not line.startswith("speed_grid:"):
-                raise ParseError(lineno, "expected 'speed_grid:' header")
-            speed_grid = _parse_floats(line[len("speed_grid:"):], lineno)
-            if len(speed_grid) < 2 or np.any(np.diff(speed_grid) <= 0):
-                raise ParseError(lineno, "speed_grid must be strictly increasing with >= 2 entries")
-            header_line = lineno
-        elif cmd_grid is None:
-            if not line.startswith("cmd_grid:"):
-                raise ParseError(lineno, "expected 'cmd_grid:' header")
-            cmd_grid = _parse_floats(line[len("cmd_grid:"):], lineno)
-            if len(cmd_grid) < 2 or np.any(np.diff(cmd_grid) <= 0):
-                raise ParseError(lineno, "cmd_grid must be strictly increasing with >= 2 entries")
+        if len(grids) < 2:
+            name = ("speed_grid", "cmd_grid")[len(grids)]
+            if not line.startswith(name + ":"):
+                raise ParseError(lineno, f"expected '{name}:' header")
+            values = _parse_floats(line[len(name) + 1:], lineno)
+            try:
+                grids.append(check_grid(name, values))
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc)) from None
             header_line = lineno
         else:
             row = _parse_floats(line, lineno)
-            if len(row) != len(speed_grid):
-                raise ParseError(
-                    lineno, f"expected {len(speed_grid)} values per row, got {len(row)}"
-                )
+            if len(row) != len(grids[0]):
+                raise ParseError(lineno, f"expected {len(grids[0])} values per row, got {len(row)}")
             if not np.all(np.isfinite(row)):
                 raise ParseError(lineno, "non-finite acceleration value")
             rows.append(row)
-            if len(rows) > len(cmd_grid):
-                raise ParseError(lineno, f"more than {len(cmd_grid)} acceleration rows")
-    if speed_grid is None or cmd_grid is None:
+            if len(rows) > len(grids[1]):
+                raise ParseError(lineno, f"more than {len(grids[1])} acceleration rows")
+    if len(grids) < 2:
         raise ParseError(header_line + 1, "missing grid headers")
+    speed_grid, cmd_grid = grids
     if len(rows) != len(cmd_grid):
         raise ParseError(
             header_line + len(rows) + 1,

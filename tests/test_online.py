@@ -19,6 +19,7 @@ from longcal.online import (
     ImplausibleTable,
     OnlineCalibrator,
     OnlineConfig,
+    OnlineUpdate,
     publish,
     update_table,
     _cost_matrix,
@@ -90,6 +91,8 @@ class TestOnlineConfig:
             pytest.param(dict(sigma=float("nan")), id="sigma-nan"),
             pytest.param(dict(sigma=float("inf")), id="sigma-inf"),
             pytest.param(dict(sigma=True), id="sigma-bool"),
+            # numpy's bool is no ``bool``: it ran as sigma 1
+            pytest.param(dict(sigma=np.True_), id="sigma-numpy-bool"),
         ],
     )
     def test_rejects_non_finite_bool_and_non_integer(self, args):
@@ -102,18 +105,18 @@ class TestConvergeCheck:
 
     def step(self, v_actual):
         cal = OnlineCalibrator(grid_table())
-        published = cal.step(2.0, v_actual, fb(acc_ref=0.9, acc_k=0.2))
-        assert cal.cycle == 1 and cal.revision == int(published)
-        return published
+        update = cal.step(2.0, v_actual, fb(acc_ref=0.9, acc_k=0.2))
+        assert cal.cycle == 1 and cal.revision == int(update is not None)
+        return update
 
     def test_equal_speeds(self):
-        assert self.step(2.0) is False
+        assert self.step(2.0) is None
 
     def test_boundary_inclusive(self):
-        assert self.step(2.05) is False
+        assert self.step(2.05) is None
 
     def test_just_outside(self):
-        assert self.step(2.06) is True
+        assert self.step(2.06) is not None
 
 
 class TestComputeGain:
@@ -122,7 +125,7 @@ class TestComputeGain:
     def test_zero(self):
         # the promise kept: nothing to learn, and nothing published
         cal = OnlineCalibrator(grid_table())
-        assert cal.step(2.0, 1.0, fb(acc_ref=0.4, acc_k=0.4)) is False
+        assert cal.step(2.0, 1.0, fb(acc_ref=0.4, acc_k=0.4)) is None
         assert cal.revision == 0
 
     def test_direct_subtraction(self):
@@ -533,14 +536,13 @@ class TestPublish:
 class TestOnlineCalibrator:
     def test_converged_cycle_skips_update_but_counts(self):
         cal = OnlineCalibrator(grid_table(), OnlineConfig())
-        updated = cal.step(1.0, 1.02, fb(acc_ref=1.0, acc_k=0.0))
-        assert updated is False
+        assert cal.step(1.0, 1.02, fb(acc_ref=1.0, acc_k=0.0)) is None
         assert cal.cycle == 1
         assert cal.revision == 0
 
     def test_no_feedback_no_update(self):
         cal = OnlineCalibrator(grid_table(), OnlineConfig())
-        assert cal.step(2.0, 1.0, None) is False
+        assert cal.step(2.0, 1.0, None) is None
         assert cal.cycle == 1
 
     def test_non_finite_update_is_refused(self):
@@ -553,7 +555,16 @@ class TestOnlineCalibrator:
         assert cal.table is table
 
     def test_update_publishes_new_revision(self):
-        cal = OnlineCalibrator(grid_table(), OnlineConfig())
-        assert cal.step(2.0, 1.0, fb(acc_ref=0.9, acc_k=0.2)) is True
-        assert cal.revision == 1
-        assert cal.cycle == 1
+        # the returned record is the feedback the step applied, its gain, the
+        # full-strength window's size and the revision it published
+        table = grid_table()
+        cal = OnlineCalibrator(table, OnlineConfig())
+        feedback = fb(cmd_ref=22.0, v_ref=1.1, acc_ref=0.9, acc_k=0.2)
+        update = cal.step(2.0, 1.0, feedback)
+        assert isinstance(update, OnlineUpdate)
+        assert (update.cmd_ref, update.v_ref, update.acc_ref, update.acc_k) == (22.0, 1.1, 0.9, 0.2)
+        assert update.gain == 0.9 - 0.2
+        assert update.updated_cells == int((_cost_matrix(table, feedback) == 0).sum()) > 1
+        assert update.revision == cal.revision == 1
+        assert update.cycle == cal.cycle == 1
+        assert update.seconds > 0

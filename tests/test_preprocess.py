@@ -314,6 +314,8 @@ class TestOfflinePipeline:
             pytest.param(dict(delay=-0.2), id="delay-negative"),
             pytest.param(dict(delay=float("inf")), id="delay-inf"),
             pytest.param(dict(delay=True), id="delay-bool"),
+            # numpy's bool is no ``bool``: it kept a 1 s delay's samples
+            pytest.param(dict(delay=np.True_), id="delay-numpy-bool"),
         ],
     )
     def test_invalid_arguments_raise(self, args, ax1_log):
@@ -407,6 +409,7 @@ class TestOnlinePreprocessor:
             pytest.param(dict(delay=0.5 * CONSISTENCY_WINDOW), id="delay-below-window"),
             # a bool would pass as a 1 s delay
             pytest.param(dict(delay=True), id="delay-bool"),
+            pytest.param(dict(delay=np.True_), id="delay-numpy-bool"),
         ],
     )
     def test_invalid_arguments_raise(self, args):

@@ -181,7 +181,8 @@ class TestDeterminism:
 
 
 class TestHostileInput:
-    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf"), -5.0, 0.0, 0.004])
+    # True gave 100 frames or cycles
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf"), -5.0, 0.0, 0.004, True])
     def test_drive_log_refuses_duration_without_frames(self, duration, monkeypatch):
         def no_draw(*args, **kwargs):
             raise AssertionError("a generator was made before the duration was checked")
@@ -190,7 +191,7 @@ class TestHostileInput:
         with pytest.raises(ValueError, match="duration"):
             simulator.generate_drive_log(simulator.ax1(load=0.0), duration, seed=0)
 
-    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf"), -5.0, 0.0, 0.004])
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf"), -5.0, 0.0, 0.004, True])
     def test_closed_loop_refuses_duration_without_cycles(self, duration, monkeypatch):
         config = simulator.ax1(load=0.0)
         table = config.true_table()
@@ -223,6 +224,15 @@ class TestHostileInput:
             pytest.param("noise_std", float("nan"), id="noise_std-nan"),
             pytest.param("throttle_force", np.append(np.linspace(0.0, 1200.0, 20), np.nan), id="throttle_force-nan"),
             pytest.param("brake_breaks", np.append(np.arange(0.0, 100.0, 5.0), np.inf), id="brake_breaks-inf"),
+            # named, not "force maps must be monotone"
+            pytest.param("throttle_breaks", np.arange(100.0, -2.5, -5.0), id="throttle_breaks-decreasing"),
+            pytest.param("brake_force", np.linspace(1800.0, 0.0, 21), id="brake_force-decreasing"),
+            pytest.param("brake_force", np.linspace(0.0, 1800.0, 20), id="brake_force-short"),
+        ]
+        + [
+            # numpy's bool is no ``bool``: each passed as 1
+            pytest.param(name, np.True_, id=f"{name}-numpy-bool")
+            for name in ("mass", "load", "drag", "rolling", "delay", "noise_std", "sample_rate", "v_max")
         ],
     )
     def test_plant_config_refuses_bad_constants(self, name, value):
@@ -239,12 +249,52 @@ class TestHostileInput:
             pytest.param("duration", 0.0, id="duration-zero"),
             pytest.param("duration", float("nan"), id="duration-nan"),
             pytest.param("duration", float("inf"), id="duration-inf"),
+            # each ran as 1
+            pytest.param("v_max", True, id="v_max-bool"),
+            pytest.param("duration", np.True_, id="duration-numpy-bool"),
         ],
     )
     def test_trapezoid_profile_refuses_bad_inputs(self, name, value):
         args = {"v_max": 3.0, "duration": 10.0, name: value}
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             simulator.trapezoid_profile(**args)
+
+    # True ran as seed 1; -1 and 1.5 failed in numpy, naming no argument
+    @pytest.mark.parametrize("seed", [True, np.int64(-1), 1.5])
+    def test_drive_log_refuses_bad_seed(self, seed, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a generator was made before the seed was checked")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            simulator.generate_drive_log(simulator.ax1(load=0.0), 1.0, seed=seed)
+
+    @pytest.mark.parametrize("seed", [True, -1, 1.5])
+    def test_closed_loop_refuses_bad_seed(self, seed, monkeypatch):
+        config = simulator.ax1(load=0.0)
+        table = config.true_table()
+        profile = simulator.trapezoid_profile(config.v_max, 5.0)
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("the loop was set up before the seed was checked")
+
+        for name in ("Plant", "OnlineCalibrator", "OnlinePreprocessor", "invert"):
+            monkeypatch.setattr(simulator, name, no_setup)
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            simulator.run_closed_loop(config, table, profile, duration=1.0, online=True, seed=seed)
+
+    @pytest.mark.parametrize(
+        "t_points, v_points, name",
+        [
+            # a NaN duration, an endless profile, and a NaN speed sampled
+            pytest.param([0.0, float("nan")], [0.0, 1.0], "t_points", id="t-nan"),
+            pytest.param([0.0, float("inf")], [0.0, 1.0], "t_points", id="t-inf"),
+            pytest.param([0.0, 1.0], [0.0, float("nan")], "v_points", id="v-nan"),
+        ],
+    )
+    def test_speed_profile_refuses_non_finite_breakpoints(self, t_points, v_points, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            simulator.SpeedProfile(t_points, v_points)
 
     def test_drive_log_of_one_frame(self):
         log = simulator.generate_drive_log(simulator.ax1(load=0.0), 0.01, seed=0)
@@ -418,6 +468,27 @@ class TestControlCycle:
         assert len(run.events) > 50
         assert published == [True] * len(run.events)
         assert run.table is built[-1]
+
+    def test_records_carry_the_feedback_update_table_got(self, ax1_table, monkeypatch):
+        # each record is built from the very feedback ``step`` passed to
+        # ``online.update_table``, not from a copy the loop kept
+        applied = []
+        real_update = online.update_table
+
+        def update(state, feedback, cfg):
+            new_table = real_update(state, feedback, cfg)
+            if new_table is not state.table:
+                applied.append(feedback)
+            return new_table
+
+        monkeypatch.setattr(online, "update_table", update)
+        run = ax1_loop(ax1_table, online=True, duration=10.0)
+        assert len(run.events) == len(applied) > 50
+        for e, feedback in zip(run.events, applied):
+            assert (e.cmd_ref, e.v_ref, e.acc_ref, e.acc_k) == feedback[:4]
+            assert e.gain == feedback.acc_ref - feedback.acc_k
+        assert np.array_equal(run.update_seconds, [e.seconds for e in run.events])
+        assert np.all(run.update_seconds > 0)
 
     def test_cycle_runs_on_plain_floats(self, online_run):
         # ``type(...) is float``, not ``isinstance``: np.float64 subclasses float

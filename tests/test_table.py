@@ -14,6 +14,7 @@ from longcal.table import (
     CalibrationTable,
     MonotonicityViolation,
     ParseError,
+    check_number,
     default_cmd_grid,
     default_speed_grid,
     deserialize,
@@ -94,6 +95,25 @@ class TestConstruction:
         assert t.acc[0, 0] == -2.0 and t.speed_grid[0] == 0.0
         for arr in (t.speed_grid, t.cmd_grid, t.acc):
             assert not arr.flags.writeable
+
+
+class TestCheckNumber:
+    @pytest.mark.parametrize("value", [True, np.True_, float("nan"), float("inf"), 0.0, 1.5])
+    def test_refused_names_the_setting(self, value):
+        with pytest.raises(ValueError, match=r"^x must be finite and in \(0, 1\], got "):
+            check_number("x", value, 0.0, above=True, high=1.0)
+
+    @pytest.mark.parametrize("value", [True, np.True_, 2.0, 1.5, -1, np.int64(-1)])
+    def test_integer_refuses_bools_floats_and_out_of_range(self, value):
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 0, got "):
+            check_number("n", value, 0, integer=True)
+
+    @pytest.mark.parametrize(
+        "value, kwargs",
+        [(0.0, {}), (1e9, {}), (1.0, dict(above=True, high=1.0)), (3, dict(integer=True)), (np.int64(0), dict(integer=True))],
+    )
+    def test_accepted(self, value, kwargs):
+        check_number("x", value, 0, **kwargs)
 
 
 class TestLookupAcc:
@@ -462,6 +482,15 @@ class TestSerialization:
     def test_non_increasing_speed_grid_rejected(self):
         text = "speed_grid: 0 1 1 3\ncmd_grid: 0 50\n" + "0 0 0 0\n" * 2
         with pytest.raises(ParseError) as err:
+            deserialize(text)
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("grid", ["0 nan", "0 inf"])
+    def test_bad_grid_values_rejected_with_line(self, grid):
+        # a grid that fails check_grid is a ParseError at its own line, not a
+        # plain ValueError from the table constructor
+        text = f"speed_grid: {grid}\ncmd_grid: 0 50\n" + "0 0\n" * 2
+        with pytest.raises(ParseError, match="speed_grid") as err:
             deserialize(text)
         assert err.value.line == 1
 
