@@ -1,10 +1,9 @@
 """Offline regression: fit throttle/brake acceleration models and emit a table.
 
-Two model families cover the preprocessed ``(cmd, v) -> acc`` samples: a
-small feedforward sigmoid network trained with Adam (the production choice)
-and an ordinary least-squares baseline kept for comparison.  Throttle and
-brake are fitted separately on the signed command axis; a ten-fold
-cross-validation harness scores both families on held-out folds only.  The
+One model family covers the preprocessed ``(cmd, v) -> acc`` samples: a
+small feedforward sigmoid network trained with Adam.  Throttle and brake
+are fitted separately on the signed command axis; a ten-fold
+cross-validation harness scores the networks on held-out folds only.  The
 network's shape, epochs, Adam step and batch size are module constants; a
 fit's one setting is its seed (``MlpHyper``).  The network trains in float32
 and predicts in float64, so tables are float64.
@@ -29,10 +28,6 @@ BATCH = 512  # rows per Adam step at most; small sets keep 8 steps an epoch
 
 class TooFewSamples(ValueError):
     """Not enough samples for the requested fit or fold count."""
-
-
-class Singular(ValueError):
-    """Rank-deficient design matrix in the least-squares baseline."""
 
 
 class Degenerate(UserWarning):
@@ -293,34 +288,6 @@ def train_mlp(samples, hyper: MlpHyper | None = None) -> MlpModel:
     return model
 
 
-@dataclass
-class LinearModel:
-    """Plane fit acc = w0 + w1 * cmd + w2 * v (ordinary least squares)."""
-
-    w: np.ndarray
-
-    def predict(self, cmd, v) -> np.ndarray:
-        """Acceleration at ``(cmd, v)``, in raw units.
-
-        ``cmd`` and ``v`` are arrays that broadcast together; the result is a
-        float array of their broadcast shape.
-        """
-        cmd, v = np.broadcast_arrays(np.asarray(cmd, dtype=float), np.asarray(v, dtype=float))
-        return self.w[0] + self.w[1] * cmd + self.w[2] * v
-
-
-def train_linear(samples) -> LinearModel:
-    """Least-squares plane through the samples; raises Singular if degenerate."""
-    arr = as_sample_array(samples)
-    if len(arr) < 3:
-        raise TooFewSamples(f"need >= 3 samples for a plane fit, got {len(arr)}")
-    design = np.column_stack([np.ones(len(arr)), arr[:, 0], arr[:, 1]])
-    if np.linalg.matrix_rank(design) < 3:
-        raise Singular("design matrix is rank deficient (collinear samples)")
-    w, *_ = np.linalg.lstsq(design, arr[:, 2], rcond=None)
-    return LinearModel(w=w)
-
-
 def split_by_sign(arr: np.ndarray):
     """Throttle (> deadband) and brake (< -deadband) sample subsets."""
     throttle = arr[arr[:, 0] > DEADBAND_CMD]
@@ -328,19 +295,12 @@ def split_by_sign(arr: np.ndarray):
     return throttle, brake
 
 
-def _fit_one_sign(arr: np.ndarray, kind: str, seed: int):
-    if len(arr) == 0:
-        return None
-    if kind == "nn":
-        return train_mlp(arr, MlpHyper(seed=seed))
-    if kind == "linear":
-        return train_linear(arr)
-    raise ValueError(f"unknown model kind {kind!r}")
-
-
-def _fit_both_signs(train_arr: np.ndarray, kind: str, seed: int):
-    throttle, brake = split_by_sign(train_arr)
-    return _fit_one_sign(throttle, kind, seed), _fit_one_sign(brake, kind, seed + 1)
+def _fit_both_signs(train_arr: np.ndarray, seed: int):
+    """The throttle net on ``seed`` and the brake net on ``seed + 1``; ``None`` for a sign with no rows."""
+    return tuple(
+        train_mlp(rows, MlpHyper(seed=seed + i)) if len(rows) else None
+        for i, rows in enumerate(split_by_sign(train_arr))
+    )
 
 
 def _predict_signed(throttle_model, brake_model, arr: np.ndarray) -> np.ndarray:
@@ -359,9 +319,8 @@ def _predict_signed(throttle_model, brake_model, arr: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CvReport:
-    """Held-out MAE/RMSE per fold plus fold-mean aggregates, per model kind."""
+    """Held-out MAE/RMSE per fold plus fold-mean aggregates."""
 
-    kind: str
     fold_mae: np.ndarray
     fold_rmse: np.ndarray
 
@@ -374,14 +333,6 @@ class CvReport:
         return float(self.fold_rmse.mean())
 
 
-def _fold_metrics(args):
-    train_arr, test_arr, kind, seed = args
-    t_model, b_model = _fit_both_signs(train_arr, kind, seed)
-    pred = _predict_signed(t_model, b_model, test_arr)
-    err = pred - test_arr[:, 2]
-    return float(np.abs(err).mean()), float(np.sqrt((err**2).mean()))
-
-
 def cross_validate(
     samples,
     folds: int = 10,
@@ -389,21 +340,23 @@ def cross_validate(
     seed: int = 0,
     workers: int = 1,
 ) -> CvReport:
-    """Seeded k-fold cross-validation scored on held-out folds only.
+    """Seeded k-fold cross-validation of the networks, scored on held-out folds only.
 
     Fold assignment shuffles once with the given seed; deadband samples are
     excluded (neither sign's model owns them).  Fold ``k`` fits its throttle
     net on seed ``seed + 1000 (k + 1)`` and its brake net on the next seed,
-    with the module's fixed network settings.  Folds are independent, so
-    ``workers > 1`` fans them out over processes with unchanged results.
-    ``workers`` stays only because the benchmark passes ``workers=1``; the
-    process pool is imported only for ``workers > 1``, so one worker loads
-    neither ``concurrent.futures`` nor ``multiprocessing``.  Raises
-    ValueError before any work unless ``folds`` is an integer >= 2 and
-    ``seed`` an integer >= 0, neither a bool.
+    with the module's fixed network settings, and the folds run one after
+    another.  ``kind`` must be ``"nn"`` and ``workers`` the integer 1: both
+    stay only because the benchmark passes them, and go once it stops.
+    Raises ValueError before any work unless ``folds`` is an integer >= 2
+    and ``seed`` an integer >= 0, neither a bool, and ``kind`` and
+    ``workers`` hold those values (a bool is no integer 1).
     """
     check_number("folds", folds, 2, integer=True)
     check_number("seed", seed, 0, integer=True)
+    if kind != "nn":
+        raise ValueError(f"kind must be 'nn', got {kind!r}")
+    check_number("workers", workers, 1, high=1, integer=True)
     arr = as_sample_array(samples)
     arr = arr[np.abs(arr[:, 0]) > DEADBAND_CMD]
     if len(arr) < folds:
@@ -411,23 +364,15 @@ def cross_validate(
     rng = np.random.default_rng(seed)
     assignment = rng.permutation(len(arr)) % folds
 
-    # a generator: with one worker, only one fold's train/test copies exist
-    # at a time
-    jobs = (
-        (arr[assignment != k], arr[assignment == k], kind, seed + 1000 * (k + 1))
-        for k in range(folds)
-    )
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            metrics = list(pool.map(_fold_metrics, jobs))
-    else:
-        metrics = [_fold_metrics(job) for job in jobs]
-
-    fold_mae = np.array([m[0] for m in metrics])
-    fold_rmse = np.array([m[1] for m in metrics])
-    return CvReport(kind=kind, fold_mae=fold_mae, fold_rmse=fold_rmse)
+    fold_mae = np.empty(folds)
+    fold_rmse = np.empty(folds)
+    for k in range(folds):
+        # rebinding frees the last fold's copies: one fold's exist at a time
+        train, test = arr[assignment != k], arr[assignment == k]
+        err = _predict_signed(*_fit_both_signs(train, seed + 1000 * (k + 1)), test) - test[:, 2]
+        fold_mae[k] = np.abs(err).mean()
+        fold_rmse[k] = np.sqrt((err**2).mean())
+    return CvReport(fold_mae=fold_mae, fold_rmse=fold_rmse)
 
 
 def build_table(throttle_model, brake_model, speed_grid, cmd_grid) -> CalibrationTable:

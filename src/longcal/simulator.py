@@ -50,8 +50,9 @@ def _power_law_map(f_max: float):
 class PlantConfig:
     """Physical constants of the simulated vehicle, checked at construction.
 
-    Each number must pass ``check_number``: ``mass``, ``sample_rate`` and
-    ``v_max`` finite and positive, ``load``, ``drag``, ``rolling``,
+    Each number must pass ``check_number``: ``mass`` and ``sample_rate``
+    finite and positive, ``v_max`` finite and above 0.1 (the speed grid,
+    every 0.2 m/s, needs two entries), ``load``, ``drag``, ``rolling``,
     ``delay`` and ``noise_std`` finite and non-negative, and no value a
     bool.  Each force map's breakpoints must pass ``check_grid``, and its
     forces be finite, non-decreasing and one per breakpoint.
@@ -73,9 +74,10 @@ class PlantConfig:
     def __post_init__(self):
         for name, positive in (
             ("mass", True), ("load", False), ("drag", False), ("rolling", False), ("delay", False),
-            ("noise_std", False), ("sample_rate", True), ("v_max", True),
+            ("noise_std", False), ("sample_rate", True),
         ):
             check_number(name, getattr(self, name), 0.0, above=positive)
+        check_number("v_max", self.v_max, 0.1, above=True)
         for breaks, force in (("throttle_breaks", "throttle_force"), ("brake_breaks", "brake_force")):
             grid = check_grid(breaks, getattr(self, breaks))
             values = np.array(getattr(self, force), dtype=float)

@@ -2,6 +2,7 @@
 
 import warnings
 import weakref
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -15,15 +16,12 @@ from longcal.offline import (
     LR,
     CvReport,
     Degenerate,
-    LinearModel,
     MlpHyper,
     MlpModel,
-    Singular,
     TooFewSamples,
     build_table,
     cross_validate,
     split_by_sign,
-    train_linear,
     train_mlp,
 )
 from longcal.offline import _sigmoid, as_sample_array
@@ -43,6 +41,30 @@ def sample_grid(rng, n, v_max=3.0, noise=0.0, sign=None):
     v = rng.uniform(0, v_max, n)
     acc = curvy(cmd, v) + (rng.normal(0, noise, n) if noise else 0.0)
     return np.column_stack([cmd, v, acc])
+
+
+@dataclass
+class Plane:
+    """acc = w0 + w1 cmd + w2 v: the tests' least-squares reference model."""
+
+    w: np.ndarray
+
+    def predict(self, cmd, v):
+        return self.w[0] + self.w[1] * np.asarray(cmd, dtype=float) + self.w[2] * np.asarray(v, dtype=float)
+
+
+def fit_plane(arr):
+    design = np.column_stack([np.ones(len(arr)), arr[:, 0], arr[:, 1]])
+    return Plane(np.linalg.lstsq(design, arr[:, 2], rcond=None)[0])
+
+
+def plane_fit_both_signs(train, seed):
+    """``_fit_both_signs`` with a plane per sign in place of the networks."""
+    return tuple(fit_plane(rows) if len(rows) else None for rows in split_by_sign(train))
+
+
+def no_fit(*args):
+    raise AssertionError("a fold was fitted")
 
 
 def _reference_train_mlp(samples, hyper=None, dtype=np.float32):
@@ -257,6 +279,13 @@ class TestSigmoid:
         assert out.tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
+def short_log_samples():
+    """The cleaned samples of a 120 s seed-0 ax1 log."""
+    config = simulator.ax1(load=0.0)
+    log = simulator.generate_drive_log(config, 120.0, seed=0)
+    return preprocess.offline_pipeline(log, *config.table_grids()).to_samples()
+
+
 def drive_samples(preset):
     """The cleaned samples of the 1200 s seed-0 log of ``preset`` and its grids."""
     config = simulator.PRESETS[preset](load=0.0)
@@ -346,129 +375,161 @@ class TestPredict:
         assert abs(preds.mean() - arr[:, 2].mean()) < 2 * arr[:, 2].std()
 
 
-class TestTrainLinear:
-    def test_exact_on_linear_data(self):
-        rng = np.random.default_rng(9)
-        cmd = rng.uniform(0, 100, 50)
-        v = rng.uniform(0, 3, 50)
-        arr = np.column_stack([cmd, v, 1.5 + 0.02 * cmd - 0.3 * v])
-        model = train_linear(arr)
-        assert np.allclose(model.w, [1.5, 0.02, -0.3], atol=1e-9)
-
-    def test_residual_orthogonality(self):
-        rng = np.random.default_rng(10)
-        arr = sample_grid(rng, 300, noise=0.1)
-        model = train_linear(arr)
-        resid = model.predict(arr[:, 0], arr[:, 1]) - arr[:, 2]
-        design = np.column_stack([np.ones(len(arr)), arr[:, 0], arr[:, 1]])
-        assert np.all(np.abs(design.T @ resid) < 1e-6 * len(arr))
-
-    def test_duplicate_point_is_singular(self):
-        arr = np.tile([[10.0, 1.0, 0.5]], (5, 1))
-        with pytest.raises(Singular):
-            train_linear(arr)
-
-
 class TestCrossValidate:
-    def test_near_zero_error_for_own_function(self):
+    def test_near_zero_error_for_own_function(self, monkeypatch):
+        # each fold's plane is fitted on its training rows and scored on the
+        # held-out ones, so exact planar data leaves only rounding
+        monkeypatch.setattr(offline_mod, "_fit_both_signs", plane_fit_both_signs)
         rng = np.random.default_rng(11)
         cmd = rng.uniform(5, 100, 600)
         v = rng.uniform(0, 3, 600)
         arr = np.column_stack([cmd, v, 0.5 + 0.01 * cmd - 0.02 * v])
-        report = cross_validate(arr, folds=5, kind="linear")
+        report = cross_validate(arr, folds=5)
         assert report.mae < 1e-9
 
     def test_rmse_at_least_mae(self):
         rng = np.random.default_rng(12)
         arr = sample_grid(rng, 900, noise=0.08)
-        for kind in ("linear", "nn"):
-            report = cross_validate(arr, folds=4, kind=kind)
-            assert np.all(report.fold_rmse >= report.fold_mae - 1e-12)
-            assert report.rmse >= report.mae - 1e-12
+        report = cross_validate(arr, folds=4)
+        assert np.all(report.fold_rmse >= report.fold_mae - 1e-12)
+        assert report.rmse >= report.mae - 1e-12
 
     def test_fold_assignment_reproducible(self):
         rng = np.random.default_rng(13)
         arr = sample_grid(rng, 700, noise=0.05)
-        a = cross_validate(arr, folds=6, kind="linear", seed=5)
-        b = cross_validate(arr, folds=6, kind="linear", seed=5)
+        a = cross_validate(arr, folds=6, seed=5)
+        b = cross_validate(arr, folds=6, seed=5)
         assert np.array_equal(a.fold_mae, b.fold_mae)
         assert np.array_equal(a.fold_rmse, b.fold_rmse)
 
-    def test_workers_do_not_change_results(self):
-        rng = np.random.default_rng(14)
-        arr = sample_grid(rng, 800, noise=0.05)
-        serial = cross_validate(arr, folds=4, kind="linear", seed=1, workers=1)
-        parallel = cross_validate(arr, folds=4, kind="linear", seed=1, workers=2)
-        assert np.array_equal(serial.fold_mae, parallel.fold_mae)
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_equals_per_fold_reference(self, seed):
+        # the folds, seeds and scores written out fold by fold
+        samples = short_log_samples()
+        arr = samples[np.abs(samples[:, 0]) > offline_mod.DEADBAND_CMD]
+        assignment = np.random.default_rng(seed).permutation(len(arr)) % 4
+        mae, rmse = [], []
+        for k in range(4):
+            train, test = arr[assignment != k], arr[assignment == k]
+            fold_seed = seed + 1000 * (k + 1)
+            throttle, brake = split_by_sign(train)
+            t_model = train_mlp(throttle, MlpHyper(seed=fold_seed))
+            b_model = train_mlp(brake, MlpHyper(seed=fold_seed + 1))
+            pos = test[:, 0] > 0
+            pred = np.empty(len(test))
+            pred[pos] = t_model.predict(test[pos, 0], test[pos, 1])
+            pred[~pos] = b_model.predict(test[~pos, 0], test[~pos, 1])
+            err = pred - test[:, 2]
+            mae.append(np.abs(err).mean())
+            rmse.append(np.sqrt((err**2).mean()))
+        report = cross_validate(samples, folds=4, seed=seed)
+        assert report.fold_mae.tobytes() == np.array(mae).tobytes()
+        assert report.fold_rmse.tobytes() == np.array(rmse).tobytes()
 
     def test_one_worker_holds_one_fold_at_a_time(self, monkeypatch):
-        previous = []
-        original = offline_mod._fold_metrics
+        previous, current = [], []
 
-        def spy(args):
+        def fit_spy(train, seed):
             # the last fold's train and test copies are gone by this fit
             assert all(ref() is None for ref in previous)
-            previous[:] = [weakref.ref(args[0]), weakref.ref(args[1])]
-            return original(args)
+            current[:] = [weakref.ref(train)]
+            return plane_fit_both_signs(train, seed)
 
-        monkeypatch.setattr(offline_mod, "_fold_metrics", spy)
+        def predict_spy(t_model, b_model, test):
+            previous[:] = current + [weakref.ref(test)]
+            return original_predict(t_model, b_model, test)
+
+        original_predict = offline_mod._predict_signed
+        monkeypatch.setattr(offline_mod, "_fit_both_signs", fit_spy)
+        monkeypatch.setattr(offline_mod, "_predict_signed", predict_spy)
         arr = sample_grid(np.random.default_rng(23), 400, noise=0.05)
-        report = cross_validate(arr, folds=5, kind="linear")
+        report = cross_validate(arr, folds=5)
         assert len(report.fold_mae) == 5
+        assert len(previous) == 2
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
-            cross_validate(np.array([[10.0, 1.0, 0.2]] * 4), folds=10, kind="linear")
+            cross_validate(np.array([[10.0, 1.0, 0.2]] * 4), folds=10)
 
     @pytest.mark.parametrize("folds", [0, 1, -3, 2.5, True])
     def test_bad_fold_count_raises(self, folds, monkeypatch):
         # before, 0 and -3 gave mae nan with numpy warnings, and 1 raised a
         # misleading TooFewSamples about missing throttle training data
-        def no_fit(args):
-            raise AssertionError("a fold was fitted")
-
-        monkeypatch.setattr(offline_mod, "_fold_metrics", no_fit)
+        monkeypatch.setattr(offline_mod, "_fit_both_signs", no_fit)
         arr = sample_grid(np.random.default_rng(19), 200, noise=0.05)
         with pytest.raises(ValueError, match="folds"):
-            cross_validate(arr, folds=folds, kind="linear")
+            cross_validate(arr, folds=folds)
 
     @pytest.mark.parametrize("seed", [True, -1, 1.5])
     def test_bad_seed_raises(self, seed, monkeypatch):
         # none may run: True as seed 1, the others as numpy errors that do
         # not name the seed
-        def no_fit(args):
-            raise AssertionError("a fold was fitted")
-
-        monkeypatch.setattr(offline_mod, "_fold_metrics", no_fit)
+        monkeypatch.setattr(offline_mod, "_fit_both_signs", no_fit)
         arr = sample_grid(np.random.default_rng(19), 200, noise=0.05)
         with pytest.raises(ValueError, match="seed"):
-            cross_validate(arr, folds=4, kind="linear", seed=seed)
+            cross_validate(arr, folds=4, seed=seed)
 
-    def test_nn_beats_linear_on_curved_data(self):
+    # "linear" fitted a least-squares plane, and "bogus" raised only at the
+    # first fit
+    @pytest.mark.parametrize("kind", ["linear", "bogus", "NN"])
+    def test_bad_kind_raises(self, kind, monkeypatch):
+        monkeypatch.setattr(offline_mod, "_fit_both_signs", no_fit)
+        arr = sample_grid(np.random.default_rng(19), 200, noise=0.05)
+        with pytest.raises(ValueError, match="^kind"):
+            cross_validate(arr, folds=4, kind=kind)
+
+    @pytest.mark.parametrize(
+        "workers",
+        [
+            # each ran the folds one after another
+            pytest.param(0, id="zero"),
+            pytest.param(-1, id="negative"),
+            pytest.param(True, id="bool"),
+            pytest.param(np.True_, id="numpy-bool"),
+            # these fanned the folds out over a process pool, or failed in it
+            pytest.param(2, id="two"),
+            pytest.param(2.5, id="fraction"),
+        ],
+    )
+    def test_bad_workers_raises(self, workers, monkeypatch):
+        monkeypatch.setattr(offline_mod, "_fit_both_signs", no_fit)
+        arr = sample_grid(np.random.default_rng(19), 200, noise=0.05)
+        with pytest.raises(ValueError, match="^workers"):
+            cross_validate(arr, folds=4, workers=workers)
+
+    def test_nn_beats_linear_on_curved_data(self, monkeypatch):
+        # against a least-squares plane per sign on the same folds
         rng = np.random.default_rng(15)
         arr = sample_grid(rng, 4000, noise=0.02)
-        nn = cross_validate(arr, folds=4, kind="nn", seed=2)
-        lin = cross_validate(arr, folds=4, kind="linear", seed=2)
+        nn = cross_validate(arr, folds=4, seed=2)
+        monkeypatch.setattr(offline_mod, "_fit_both_signs", plane_fit_both_signs)
+        lin = cross_validate(arr, folds=4, seed=2)
         assert nn.mae < lin.mae
 
     def test_training_never_sees_held_out_fold(self, monkeypatch):
-        # intercept the fold jobs and check train/test row disjointness plus
-        # full coverage of the dataset by the test folds
+        # intercept the folds' training and held-out rows and check their
+        # disjointness plus full coverage of the dataset by the test folds
         rng = np.random.default_rng(16)
         cmd = rng.uniform(5, 100, 400)
         v = rng.uniform(0, 3, 400)
         arr = np.column_stack([cmd, v, rng.normal(0, 1, 400)])  # rows all unique
-        seen = []
-        original = offline_mod._fold_metrics
+        trains, tests = [], []
+        original_predict = offline_mod._predict_signed
 
-        def spy(args):
-            seen.append((args[0], args[1]))
-            return original(args)
+        def fit_spy(train, seed):
+            trains.append(train)
+            return plane_fit_both_signs(train, seed)
 
-        monkeypatch.setattr(offline_mod, "_fold_metrics", spy)
-        cross_validate(arr, folds=4, kind="linear", seed=0)
+        def predict_spy(t_model, b_model, test):
+            tests.append(test)
+            return original_predict(t_model, b_model, test)
+
+        monkeypatch.setattr(offline_mod, "_fit_both_signs", fit_spy)
+        monkeypatch.setattr(offline_mod, "_predict_signed", predict_spy)
+        cross_validate(arr, folds=4, seed=0)
+        assert len(trains) == len(tests) == 4
         all_test_rows = []
-        for train, test in seen:
+        for train, test in zip(trains, tests):
             train_keys = {tuple(row) for row in train}
             for row in test:
                 assert tuple(row) not in train_keys
@@ -503,8 +564,8 @@ class TestBuildTable:
         assert table.shape == (41, 16)
 
     def test_zero_row_blends_models(self):
-        tm = LinearModel(w=np.array([0.4, 0.01, 0.0]))
-        bm = LinearModel(w=np.array([-0.2, 0.01, 0.0]))
+        tm = Plane(w=np.array([0.4, 0.01, 0.0]))
+        bm = Plane(w=np.array([-0.2, 0.01, 0.0]))
         speed_grid = np.array([0.0, 1.0])
         table = build_table(tm, bm, speed_grid, np.array([-10.0, 0.0, 10.0]))
         # the rows -0.3, 0.1 and 0.5 are already monotone, so nothing pools

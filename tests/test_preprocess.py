@@ -576,7 +576,7 @@ def test_runtime_imports_no_scipy():
         f"sys.path.insert(0, {str(src)!r})\n"
         "import longcal, longcal.preprocess, longcal.offline, longcal.online, longcal.simulator\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        # cross_validate imports its process pool only for workers > 1
+        # and no process pool: the folds run one after another
         "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)

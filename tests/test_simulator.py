@@ -212,6 +212,10 @@ class TestHostileInput:
             pytest.param("mass", float("inf"), id="mass-inf"),
             pytest.param("mass", True, id="mass-bool"),
             pytest.param("v_max", 0.0, id="v_max-zero"),
+            # each passed, and then the speed grid had one entry and
+            # true_table() raised
+            pytest.param("v_max", 0.1, id="v_max-at-0.1"),
+            pytest.param("v_max", 0.05, id="v_max-below-0.1"),
             pytest.param("sample_rate", 0.0, id="sample_rate-zero"),
             pytest.param("sample_rate", float("nan"), id="sample_rate-nan"),
             pytest.param("load", float("inf"), id="load-inf"),
@@ -391,6 +395,21 @@ class TestPaperClaim:
         on, st = online_run.metrics, static_run.metrics
         assert on.speed_mae < 0.5 * st.speed_mae
         assert on.station_mae < 0.2 * st.station_mae
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_online_beats_static_under_load_on_mkz(self, seed):
+        # the unloaded truth drives mkz +600 kg over the 120 s trapezoid.
+        # Measured: static 0.872 m/s / 11.53 m on every seed, online
+        # 0.183-0.186 m/s / 1.42-1.64 m
+        loaded = simulator.mkz(load=600.0)
+        table = simulator.mkz(load=0.0).true_table()
+        profile = simulator.trapezoid_profile(loaded.v_max, 120.0)
+        on, st = (
+            simulator.run_closed_loop(loaded, table, profile, online=online, seed=seed).metrics
+            for online in (True, False)
+        )
+        assert on.speed_mae < st.speed_mae
+        assert on.station_mae < st.station_mae
 
     def test_online_run_published_updates(self, online_run):
         assert len(online_run.events) > 100
