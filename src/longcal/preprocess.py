@@ -8,7 +8,10 @@ outlier removal; the binned samples are one array (``GridBins``), and
 ``offline_pipeline``'s one setting is the delay.  Online,
 per-cycle feedback is delay-aligned, low-pass filtered, and admitted only
 when the recent command history is steady and the speed/acceleration
-errors agree in sign.  Both sides share the threshold constants below.
+errors agree in sign: ``OnlinePreprocessor.push`` decides frame by frame,
+as an adapting loop needs, and ``OnlinePreprocessor.admitted_refs``
+decides the same for a whole recorded stream at once, as a run with a
+frozen table can.  Both sides share the threshold constants below.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ MEAN_WINDOW = 5  # samples in the offline IMU mean filter
 CELL_CAP = 50  # samples a grid cell keeps at most offline, drawn uniformly with seed 0
 CONSISTENCY_WINDOW = 0.1  # s either side of the issue time that the history gate reads
 FILTER_ORDER, FILTER_CUTOFF_HZ = 3, 2.0  # the online Butterworth low-pass
+REPLAY_BLOCK = 4096  # pairings OnlinePreprocessor.admitted_refs gates at once: bounds its temporaries
 
 
 class TimestampNotIncreasing(ValueError):
@@ -391,14 +395,39 @@ def command_consistency_gate(t_hist, cmd_hist, t_ref: float, dt: float) -> bool:
     return max(cmds) - cmd_ref < CMD_GAP and cmd_ref - min(cmds) < CMD_GAP
 
 
-def speed_acc_consistency_gate(v_ref: float, v_k: float, a_ref: float, a_k: float) -> bool:
+def speed_acc_consistency_gate(v_ref, v_k, a_ref, a_k):
     """True when speed error and acceleration error share a sign.
 
     ``v_ref`` is the expected speed and ``v_k`` the measured one; likewise
     for the accelerations.  A zero product (either error exactly zero)
-    fails: there is nothing consistent to learn from.
+    fails: there is nothing consistent to learn from.  Floats give a bool;
+    numpy arrays give the test elementwise, as a bool array.
     """
     return (v_ref - v_k) * (a_ref - a_k) > 0.0
+
+
+def check_frame(t, cmd, v, acc_meas, acc_expected, v_expected, theta=0.0, t_prev=-math.inf):
+    """Raise the error ``OnlinePreprocessor.push`` refuses a frame with; return None for a valid one.
+
+    In order: NonFiniteFrame for a non-finite number, ImplausibleFrame for
+    a ``cmd`` beyond ``CMD_LIMIT`` or an ``acc_meas`` or ``acc_expected``
+    beyond ``ACC_MEAS_LIMIT`` in magnitude, and TimestampNotIncreasing for
+    a ``t`` not later than ``t_prev``, the previous frame's.
+    """
+    if not all(map(math.isfinite, (t, cmd, v, acc_meas, acc_expected, v_expected, theta))):
+        raise NonFiniteFrame(f"frame at t={t!r} holds a non-finite value")
+    if abs(cmd) > CMD_LIMIT:
+        raise ImplausibleFrame(f"frame at t={t!r} commands {cmd!r} %, beyond {CMD_LIMIT:g}")
+    if abs(acc_meas) > ACC_MEAS_LIMIT:
+        raise ImplausibleFrame(
+            f"frame at t={t!r} measures {acc_meas!r} m/s^2, beyond {ACC_MEAS_LIMIT:g}"
+        )
+    if abs(acc_expected) > ACC_MEAS_LIMIT:
+        raise ImplausibleFrame(
+            f"frame at t={t!r} expects {acc_expected!r} m/s^2, beyond {ACC_MEAS_LIMIT:g}"
+        )
+    if t <= t_prev:
+        raise TimestampNotIncreasing(f"frame at t={t!r} does not follow t={t_prev!r}")
 
 
 class OnlineFeedback(NamedTuple):
@@ -433,6 +462,13 @@ class OnlinePreprocessor:
     runs first: it is the cheaper one, and on a tracking run it refuses
     about a third of the frames that reach it.  ``delay`` must be a finite
     number (not a bool) that covers the consistency window.
+
+    ``push`` is the reference.  ``admitted_refs`` gives, for a fresh
+    preprocessor and a whole recorded AUTO stream, the ``(cmd_ref, v_ref)``
+    that pushing every frame would give, in one pass over arrays: a caller
+    that needs the feedback only after the stream ends (a run whose table
+    does not adapt) calls it once instead of ``push`` every cycle.  A change
+    to the gates must change both; the tests hold them equal.
     """
 
     def __init__(self, sample_rate: float, delay: float = 0.2):
@@ -471,26 +507,15 @@ class OnlinePreprocessor:
         ``CMD_LIMIT`` or whose ``acc_meas`` or ``acc_expected`` exceeds
         ``ACC_MEAS_LIMIT`` in magnitude raises ImplausibleFrame, and one
         whose ``t`` is not later than the previous frame's raises
-        TimestampNotIncreasing; each leaves the filter and the history as
-        they were, so the next valid frame carries on.  ``v`` is checked for
+        TimestampNotIncreasing (``check_frame``); each leaves the filter
+        and the history as they were, so the next valid frame carries on.
+        ``v`` is checked for
         finiteness only: every table read clamps speed to the grid.  After a
         forward jump in ``t``, the commands whose delay matured inside the
         jump are dropped unadmitted.
         """
-        if not all(map(math.isfinite, (t, cmd, v, acc_meas, acc_expected, v_expected, theta))):
-            raise NonFiniteFrame(f"frame at t={t!r} holds a non-finite value")
-        if abs(cmd) > CMD_LIMIT:
-            raise ImplausibleFrame(f"frame at t={t!r} commands {cmd!r} %, beyond {CMD_LIMIT:g}")
-        if abs(acc_meas) > ACC_MEAS_LIMIT:
-            raise ImplausibleFrame(
-                f"frame at t={t!r} measures {acc_meas!r} m/s^2, beyond {ACC_MEAS_LIMIT:g}"
-            )
-        if abs(acc_expected) > ACC_MEAS_LIMIT:
-            raise ImplausibleFrame(
-                f"frame at t={t!r} expects {acc_expected!r} m/s^2, beyond {ACC_MEAS_LIMIT:g}"
-            )
-        if self._t_hist and t <= self._t_hist[-1]:
-            raise TimestampNotIncreasing(f"frame at t={t!r} does not follow t={self._t_hist[-1]!r}")
+        hist = self._t_hist
+        check_frame(t, cmd, v, acc_meas, acc_expected, v_expected, theta, hist[-1] if hist else -math.inf)
         acc_f = self._filter(acc_meas)
         auto = (mode == MODE_AUTO) and (abs(theta) < STEER_LIMIT)
         self._t_hist.append(t)
@@ -519,3 +544,88 @@ class OnlinePreprocessor:
                 cmd_ref=cmd_ref, v_ref=v_ref, acc_ref=acc_ref, acc_k=acc_f, v_k=v
             )
         return feedback
+
+    def admitted_refs(self, t, cmd, v, acc_meas, acc_expected, v_expected):
+        """``(cmd_ref, v_ref)`` of every feedback ``push`` would return for a recorded stream.
+
+        The stream holds ``push``'s arguments as arrays, one entry per frame,
+        every frame AUTO with steering 0.  The two arrays returned are the
+        ``cmd_ref`` and ``v_ref`` of the feedback that pushing every frame,
+        in order, through this preprocessor while it is fresh would return,
+        frame by frame.  The preprocessor is left as it is; one that has
+        already been pushed raises ValueError.  A stream holding a frame
+        that ``push`` would refuse raises what ``push`` would raise at the
+        first such frame (``check_frame``), and returns nothing.
+
+        The stages are ``push``'s, on arrays of ``REPLAY_BLOCK`` pairings at
+        a time: a fresh ``ButterworthFilter`` run one sample at a time; each
+        frame paired with the first frame at which its command matures, by a
+        search over the recorded times, and dropped when stale; the sign gate
+        on arrays; ``command_consistency_gate``'s window, bounds,
+        ``InsufficientHistory`` conditions and nearest reference on the
+        recorded times, limited to the frames the history deques would hold;
+        and, where several pairings mature at one frame, the last one admitted.
+        """
+        if self._t_hist:
+            raise ValueError("admitted_refs replays a stream from the start: this preprocessor was pushed")
+        cols = [np.asarray(x, dtype=float) for x in (t, cmd, v, acc_meas, acc_expected, v_expected)]
+        t, cmd, v, acc_meas, acc_expected, v_expected = cols
+        n = len(t)
+        if any(x.shape != (n,) for x in cols):
+            raise ValueError("the stream's columns must be one-dimensional and of equal length")
+        valid = np.isfinite(t) & np.isfinite(v) & np.isfinite(v_expected) & (np.abs(cmd) <= CMD_LIMIT)
+        valid &= (np.abs(acc_meas) <= ACC_MEAS_LIMIT) & (np.abs(acc_expected) <= ACC_MEAS_LIMIT)
+        valid[1:] &= t[1:] > t[:-1]
+        if not valid.all():
+            k = int(np.argmin(valid))
+            check_frame(*(x.item(k) for x in cols), 0.0, t.item(k - 1) if k else -math.inf)
+        acc_f = np.fromiter(map(ButterworthFilter(self.sample_rate), memoryview(acc_meas)), float, n)
+        dt, half, window = self._dt, 0.5 * self._dt, CONSISTENCY_WINDOW
+        reach = t + half  # frame j pops every pairing due by reach[j]
+        kept_i, kept_j = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+        # pairings a block at a time, so that the temporaries stay small
+        for start in range(0, n, REPLAY_BLOCK):
+            # frame j pops pairing i: the first frame, not before i, at which
+            # t[i] + delay_total <= t[j] + half
+            i = np.arange(start, min(start + REPLAY_BLOCK, n))
+            due = t[i] + self.delay_total
+            j = np.maximum(np.searchsorted(reach, due), i)
+            matured = j < n
+            i, j, due = i[matured], j[matured], due[matured]
+            # not stale (matured no more than half a sample before frame j),
+            # and the sign gate
+            keep = (due >= t[j] - half) & speed_acc_consistency_gate(
+                v_expected[j], v[j], acc_expected[i], acc_f[j]
+            )
+            i, j = i[keep], j[keep]
+
+            # command_consistency_gate over frames first..j, the history at frame j
+            first = np.maximum(j + 1 - self._t_hist.maxlen, 0)
+            stop = j + 1
+            t_ref = t[i]
+            lo = np.clip(np.searchsorted(t, t_ref - window - 1e-12), first, stop)
+            hi = np.maximum(np.clip(np.searchsorted(t, t_ref + window + 1e-12, "right"), first, stop), lo)
+            end = np.maximum(hi - 1, lo)  # the window's last frame (lo when empty: the count test fails)
+            k = np.clip(np.searchsorted(t, t_ref), lo, hi)
+            k -= (k == stop) | ((k > first) & (t_ref - t[k - 1] <= t[np.minimum(k, n - 1)] - t_ref))
+            cmd_ref = cmd[k]
+            top, bottom = cmd[lo], cmd[lo]
+            for d in range(1, int((hi - lo).max(initial=0))):
+                at = np.minimum(lo + d, end)
+                np.maximum(top, cmd[at], out=top)
+                np.minimum(bottom, cmd[at], out=bottom)
+            keep = (
+                (hi - lo >= max(round(2.0 * window / dt), 1))
+                & (t[lo] <= t_ref - window + 0.5 * dt)
+                & (t[end] >= t_ref + window - 0.5 * dt)
+                & (top - cmd_ref < CMD_GAP)
+                & (cmd_ref - bottom < CMD_GAP)
+            )
+            kept_i.append(i[keep])
+            kept_j.append(j[keep])
+        del acc_f, reach  # before the concatenation, the method's last peak
+        i, j = np.concatenate(kept_i), np.concatenate(kept_j)
+        # several pairings popped at one frame: push returns the last admitted
+        last = np.ones(len(j), dtype=bool)
+        last[:-1] = j[1:] != j[:-1]
+        return cmd[i[last]], v[i[last]]

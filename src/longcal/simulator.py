@@ -13,6 +13,13 @@ call: a 1200 s ax1 log takes 0.07-0.11 s that way against 0.17-0.24 s
 frame by frame.  ``Plant.step`` steps the closed loop, whose command
 changes every cycle: a one-frame ``hold`` costs 3.0-3.2 µs per call against
 0.9 µs for ``step`` (one core of a 2-vCPU x86 VM, CPython 3.11).
+
+The tracking loop likewise has two ways to admit feedback.  An online run
+pushes every frame through ``OnlinePreprocessor.push``, because each cycle's
+update needs the feedback at once.  A static run needs it only to mark
+``visited_cells``, so it records the frames and hands them to
+``OnlinePreprocessor.admitted_refs`` once, after the loop: on the 300 s
+mkz +600 kg run the median cycle falls from 9.2 to 5.3 µs (same machine).
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from .online import OnlineCalibrator, OnlineConfig, OnlineUpdate
-from .preprocess import CMD_LIMIT, MODE_AUTO, MODE_MANUAL, DriveLog, OnlinePreprocessor, nearest_cell_index
+from .preprocess import (ACC_MEAS_LIMIT, CMD_LIMIT, CONSISTENCY_WINDOW, MODE_AUTO, MODE_MANUAL, DriveLog,
+                         OnlinePreprocessor, check_frame, nearest_cell_index)
 from .table import (CalibrationTable, check_grid, check_number, default_cmd_grid, default_speed_grid, invert,
                     lookup_acc, lookup_cmd)
 
@@ -451,7 +459,9 @@ class RunResult:
     table: CalibrationTable  # final controller table (adapted when online)
     events: list[OnlineUpdate]  # what OnlineCalibrator.step returned for each update it published
     update_seconds: np.ndarray  # the events' seconds: update_table + publish per event
-    visited_cells: np.ndarray  # bool grid of cells with admitted feedback, marked once after the run
+    # bool grid, marked once after the run: the cells of every feedback the
+    # preprocessor admitted (static) or every published update's (online)
+    visited_cells: np.ndarray
 
 
 KP = 0.8  # command % per m/s of speed error
@@ -470,18 +480,30 @@ def run_closed_loop(
     """Track the profile with feedforward from the table plus PI correction.
 
     With ``online`` set (an OnlineConfig, or True for defaults) the table
-    adapts every cycle from gated feedback; otherwise it stays frozen.  The
-    controller always reads the latest published snapshot.  Raises
-    ValueError, before any set-up, unless ``duration`` (the profile's by
-    default) is finite and gives at least one cycle and ``seed`` is an
-    integer >= 0, neither a bool; Diverged when the speed error exceeds
-    ``DIVERGE_LIMIT`` for a sustained second; and NonFiniteCommand, before
-    the plant steps, when the command clamped to ``CMD_LIMIT`` is NaN (an
-    infinite one clamps to the limit).
+    adapts every cycle from feedback that ``OnlinePreprocessor.push`` gates
+    that cycle; otherwise it stays frozen, and the run decides which
+    feedback to admit after the loop, in one ``admitted_refs`` call over the
+    recorded frames, with the same result.  Either way each cycle reads the
+    table once each way, through this module's ``lookup_cmd`` and
+    ``lookup_acc``, and the controller always reads the latest published
+    snapshot.  Raises ValueError, before any set-up, unless ``duration``
+    (the profile's by default) is finite and gives at least one cycle,
+    ``seed`` is an integer >= 0, neither a bool, and ``config.delay`` is at
+    least the history gate's ``CONSISTENCY_WINDOW``; Diverged when the speed
+    error exceeds ``DIVERGE_LIMIT`` for a sustained second; NonFiniteCommand,
+    before the plant steps, when the command clamped to ``CMD_LIMIT`` is NaN
+    (an infinite one clamps to the limit); and, at the cycle of the frame,
+    what ``push`` raises for a frame it refuses (``check_frame``), static
+    runs included.
     """
     duration = profile.duration if duration is None else duration
     n = _frame_count(duration, config.sample_rate)
     check_number("seed", seed, 0, integer=True)
+    if config.delay < CONSISTENCY_WINDOW:
+        raise ValueError(
+            f"config.delay must be at least the {CONSISTENCY_WINDOW:g} s CONSISTENCY_WINDOW that "
+            f"the feedback's history gate reads either side of a command, got {config.delay!r}"
+        )
     if online is True:
         online = OnlineConfig()
     plant = Plant(config)
@@ -496,12 +518,10 @@ def run_closed_loop(
     pre = OnlinePreprocessor(sample_rate=config.sample_rate, delay=config.delay)
 
     cmd_grid, speed_grid = table.cmd_grid, table.speed_grid
-    # (cmd_ref, v_ref) of every marked feedback; their cells are found in one
-    # pass after the loop
-    marked_cmd = np.empty(n)
-    marked_v = np.empty(n)
-    marked = 0
     events: list[OnlineUpdate] = []
+    # a static run's frames that admitted_refs reads besides the trace's columns
+    meas_col = np.empty(n) if cal is None else None
+    pred_col = np.empty(n) if cal is None else None
 
     vdes_col = np.empty(n)
     v_col = np.empty(n)
@@ -534,20 +554,21 @@ def run_closed_loop(
 
         s = plant.step(cmd)
         acc_meas = s.acc + noise.item(k)
-        feedback = pre.push(
-            t, cmd=cmd, v=s.v, acc_meas=acc_meas, acc_expected=acc_pred,
-            v_expected=v_des, mode=MODE_AUTO,
-        )
-        update = cal.step(v_des, s.v, feedback) if cal is not None else None
-        # a static run marks every admitted feedback, an online run the
-        # feedback it published an update from
-        mark = feedback if cal is None else update
-        if mark is not None:
-            marked_cmd[marked] = mark.cmd_ref
-            marked_v[marked] = mark.v_ref
-            marked += 1
-        if update is not None:
-            events.append(update)
+        if cal is None:
+            # admission waits for the loop's end, but a frame push would
+            # refuse stops the run at its own cycle, as push would
+            if not (abs(acc_meas) <= ACC_MEAS_LIMIT and abs(acc_pred) <= ACC_MEAS_LIMIT):
+                check_frame(t, cmd, s.v, acc_meas, acc_pred, v_des)
+            meas_col[k] = acc_meas
+            pred_col[k] = acc_pred
+        else:
+            feedback = pre.push(
+                t, cmd=cmd, v=s.v, acc_meas=acc_meas, acc_expected=acc_pred,
+                v_expected=v_des, mode=MODE_AUTO,
+            )
+            update = cal.step(v_des, s.v, feedback)
+            if update is not None:
+                events.append(update)
 
         station_des += v_des * dt
         vdes_col[k] = v_des
@@ -566,14 +587,14 @@ def run_closed_loop(
         else:
             diverged_since = None
 
+    t_col = np.arange(n) * dt  # bit-equal to each cycle's k * dt
+    if cal is None:
+        marked_cmd, marked_v = pre.admitted_refs(t_col, cmd_col, v_col, meas_col, pred_col, vdes_col)
+    else:
+        marked_cmd, marked_v = [e.cmd_ref for e in events], [e.v_ref for e in events]
     visited = np.zeros((len(cmd_grid), len(speed_grid)), dtype=bool)
-    visited[
-        nearest_cell_index(cmd_grid, marked_cmd[:marked]),
-        nearest_cell_index(speed_grid, marked_v[:marked]),
-    ] = True
-    trace = RunTrace(
-        t=np.arange(n) * dt, v_des=vdes_col, v=v_col, station_des=sdes_col, station=s_col, cmd=cmd_col
-    )
+    visited[nearest_cell_index(cmd_grid, marked_cmd), nearest_cell_index(speed_grid, marked_v)] = True
+    trace = RunTrace(t=t_col, v_des=vdes_col, v=v_col, station_des=sdes_col, station=s_col, cmd=cmd_col)
     return RunResult(
         metrics=compute_metrics(trace),
         trace=trace,

@@ -1,11 +1,14 @@
 """Offline cleaning ops, the Butterworth filter, and the online feedback gates."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import butter, group_delay, lfilter, lfilter_zi
 
 import longcal
@@ -375,6 +378,31 @@ class TestOfflinePipeline:
         assert accs.std() < 0.05 / np.sqrt(5) * 1.5
 
 
+# frames ``push`` refuses: a change to frame 200 of a steady stream, and the error
+REFUSED_FRAMES = [
+    pytest.param({"acc_meas": float("nan")}, NonFiniteFrame, id="acc_meas"),
+    pytest.param({"cmd": float("nan")}, NonFiniteFrame, id="cmd"),
+    pytest.param({"v": float("nan")}, NonFiniteFrame, id="v"),
+    pytest.param({"t": float("nan")}, NonFiniteFrame, id="t"),
+    # finite but no vehicle's: admitted, each stepped every cell toward
+    # it and published absurd tables that passed ``invert``
+    pytest.param({"acc_meas": 1e308}, ImplausibleFrame, id="acc_meas-1e308"),
+    pytest.param({"acc_meas": 1e6}, ImplausibleFrame, id="acc_meas-1e6"),
+    pytest.param({"acc_meas": -1e6}, ImplausibleFrame, id="acc_meas-minus-1e6"),
+    # a finite but absurd expected acceleration: 1e6, admitted, stepped
+    # every cell by its gain
+    pytest.param({"acc_expected": 1e6}, ImplausibleFrame, id="acc_expected-1e6"),
+    pytest.param({"acc_expected": -1e6}, ImplausibleFrame, id="acc_expected-minus-1e6"),
+    # a command off the table's axis: unbounded, 154 of 200 frames
+    # at 1e6 were admitted
+    pytest.param({"cmd": 1e6}, ImplausibleFrame, id="cmd-1e6"),
+    pytest.param({"cmd": -CMD_LIMIT - 1e-9}, ImplausibleFrame, id="cmd-past-minus-limit"),
+    # frame 200 carrying frame 199's time, and a time one second back
+    pytest.param({"t": 199 * 0.01}, TimestampNotIncreasing, id="t-repeated"),
+    pytest.param({"t": 200 * 0.01 - 1.0}, TimestampNotIncreasing, id="t-back"),
+]
+
+
 class TestOnlinePreprocessor:
     def run_stream(self, pre, frames):
         out = []
@@ -418,31 +446,7 @@ class TestOnlinePreprocessor:
             OnlinePreprocessor(sample_rate=100.0, **args)
         assert self.run_stream(OnlinePreprocessor(sample_rate=100.0), self.steady_frames())
 
-    @pytest.mark.parametrize(
-        "change, error",
-        [
-            pytest.param({"acc_meas": float("nan")}, NonFiniteFrame, id="acc_meas"),
-            pytest.param({"cmd": float("nan")}, NonFiniteFrame, id="cmd"),
-            pytest.param({"v": float("nan")}, NonFiniteFrame, id="v"),
-            pytest.param({"t": float("nan")}, NonFiniteFrame, id="t"),
-            # finite but no vehicle's: admitted, each stepped every cell toward
-            # it and published absurd tables that passed ``invert``
-            pytest.param({"acc_meas": 1e308}, ImplausibleFrame, id="acc_meas-1e308"),
-            pytest.param({"acc_meas": 1e6}, ImplausibleFrame, id="acc_meas-1e6"),
-            pytest.param({"acc_meas": -1e6}, ImplausibleFrame, id="acc_meas-minus-1e6"),
-            # a finite but absurd expected acceleration: 1e6, admitted, stepped
-            # every cell by its gain
-            pytest.param({"acc_expected": 1e6}, ImplausibleFrame, id="acc_expected-1e6"),
-            pytest.param({"acc_expected": -1e6}, ImplausibleFrame, id="acc_expected-minus-1e6"),
-            # a command off the table's axis: unbounded, 154 of 200 frames
-            # at 1e6 were admitted
-            pytest.param({"cmd": 1e6}, ImplausibleFrame, id="cmd-1e6"),
-            pytest.param({"cmd": -CMD_LIMIT - 1e-9}, ImplausibleFrame, id="cmd-past-minus-limit"),
-            # frame 200 carrying frame 199's time, and a time one second back
-            pytest.param({"t": 199 * 0.01}, TimestampNotIncreasing, id="t-repeated"),
-            pytest.param({"t": 200 * 0.01 - 1.0}, TimestampNotIncreasing, id="t-back"),
-        ],
-    )
+    @pytest.mark.parametrize("change, error", REFUSED_FRAMES)
     def test_non_finite_frame_raises_and_changes_nothing(self, change, error):
         frames = self.steady_frames(n=400)
         pre = OnlinePreprocessor(sample_rate=100.0)
@@ -544,6 +548,86 @@ class TestOnlinePreprocessor:
         assert stepped
         late = [fb for fb in stepped if fb.acc_k > 0.9]
         assert len(late) / len(stepped) > 0.8
+
+
+STREAM = ("t", "cmd", "v", "acc_meas", "acc_expected", "v_expected")
+
+
+def recorded_stream(seed, n, rate, jumps, jitter, pace=1.0):
+    """A clean AUTO stream of ``n`` frames near ``rate`` Hz, as arrays named by ``STREAM``.
+
+    Commands dwell 5-80 frames at levels drawn over the whole pedal range,
+    so most dwell changes cross ``CMD_GAP``, with 1 % noise.  The IMU and
+    the expectations carry noise that flips the sign gate.  ``jumps``
+    frames follow a forward clock jump of up to a second, ``jitter``
+    spreads each step by half that fraction of a sample either way, and
+    ``pace`` scales every step: at 0.8 the history deques, sized for
+    ``rate``, span too little time to hold the window of a long delay.
+    """
+    rng = np.random.default_rng(seed)
+    steps = pace * (1.0 + jitter * rng.uniform(-0.5, 0.5, n)) / rate
+    steps[rng.integers(0, n, jumps)] += rng.uniform(0.0, 1.0, jumps)
+    dwells = np.repeat(rng.uniform(-CMD_LIMIT, CMD_LIMIT, n), rng.integers(5, 81, n))[:n]
+    v = np.abs(np.cumsum(rng.normal(0.0, 0.05, n)))
+    acc = 0.02 * dwells + rng.normal(0.0, 0.3, n)
+    return dict(
+        t=np.cumsum(steps) - steps[0],
+        cmd=np.clip(dwells + rng.normal(0.0, 1.0, n), -CMD_LIMIT, CMD_LIMIT),
+        v=v,
+        acc_meas=acc,
+        acc_expected=acc + rng.normal(0.0, 0.3, n),
+        v_expected=v + rng.normal(0.0, 0.05, n),
+    )
+
+
+def pushed_refs(pre, stream):
+    """``(cmd_ref, v_ref)`` of each feedback from pushing ``stream`` frame by frame."""
+    frames = zip(*(stream[name].tolist() for name in STREAM))
+    return [(fb.cmd_ref, fb.v_ref) for fb in (pre.push(*f) for f in frames) if fb is not None]
+
+
+class TestAdmittedRefs:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 600),
+        rate=st.sampled_from([50.0, 100.0, 200.0]),
+        delay=st.floats(0.1, 0.5),
+        jumps=st.integers(0, 3),
+        jitter=st.sampled_from([0.0, 0.5]),
+        pace=st.sampled_from([1.0, 0.8]),
+    )
+    def test_equals_pushing_every_frame(self, seed, n, rate, delay, jumps, jitter, pace):
+        stream = recorded_stream(seed, n, rate, jumps, jitter, pace)
+        cmd_ref, v_ref = OnlinePreprocessor(rate, delay).admitted_refs(**stream)
+        assert list(zip(cmd_ref.tolist(), v_ref.tolist())) == pushed_refs(OnlinePreprocessor(rate, delay), stream)
+
+    def test_streams_admit_some_feedback_and_refuse_some(self):
+        # so that the property compares feedback, not two empty lists
+        stream = recorded_stream(seed=7, n=600, rate=100.0, jumps=3, jitter=0.0)
+        assert 100 < len(pushed_refs(OnlinePreprocessor(100.0), stream)) < 400
+
+    @pytest.mark.parametrize("change, error", REFUSED_FRAMES)
+    def test_refuses_what_push_refuses(self, change, error):
+        stream = recorded_stream(seed=1, n=400, rate=100.0, jumps=0, jitter=0.0)
+        stream["t"] = np.arange(400) * 0.01  # frame k at k * 0.01, as the cases assume
+        for name, value in change.items():
+            stream[name][200] = value
+        pre = OnlinePreprocessor(100.0)
+        with pytest.raises(error) as pushed:
+            pushed_refs(pre, stream)
+        with pytest.raises(error, match=f"^{re.escape(str(pushed.value))}$"):
+            OnlinePreprocessor(100.0).admitted_refs(**stream)
+
+    def test_needs_a_fresh_preprocessor(self):
+        stream = recorded_stream(seed=1, n=50, rate=100.0, jumps=0, jitter=0.0)
+        pre = OnlinePreprocessor(100.0)
+        pre.push(**{name: stream[name][0] for name in STREAM})
+        with pytest.raises(ValueError, match="from the start"):
+            pre.admitted_refs(**stream)
+        stream["v"] = stream["v"][:-1]
+        with pytest.raises(ValueError, match="equal length"):
+            OnlinePreprocessor(100.0).admitted_refs(**stream)
 
 
 class TestDriveLogCsv:

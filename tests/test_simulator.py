@@ -9,6 +9,7 @@ is meant to change, and say why in the change.
 import dataclasses
 import hashlib
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,65 @@ class TestHostileInput:
             monkeypatch.setattr(simulator, name, no_setup)
         with pytest.raises(ValueError, match="duration"):
             simulator.run_closed_loop(config, table, profile, duration=duration, online=True)
+
+    @pytest.mark.parametrize("online", [False, True])
+    @pytest.mark.parametrize("delay", [0.0, 0.05])
+    def test_closed_loop_refuses_delay_below_the_consistency_window(self, delay, online, monkeypatch):
+        # PlantConfig and generate_drive_log take these delays; the loop failed
+        # inside OnlinePreprocessor, naming its own ``delay``
+        config = dataclasses.replace(simulator.ax1(load=0.0), delay=delay)
+        table = config.true_table()
+        profile = simulator.trapezoid_profile(config.v_max, 5.0)
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("the loop was set up before the delay was checked")
+
+        for name in ("Plant", "OnlineCalibrator", "OnlinePreprocessor", "invert"):
+            monkeypatch.setattr(simulator, name, no_setup)
+        with pytest.raises(ValueError, match=r"^config\.delay must be at least the 0\.1 s CONSISTENCY_WINDOW"):
+            simulator.run_closed_loop(config, table, profile, duration=1.0, online=online)
+
+    @pytest.mark.parametrize("online", [False, True])
+    @pytest.mark.parametrize(
+        "change, error, message",
+        [
+            # every cell beyond ACC_MEAS_LIMIT: the first prediction is refused
+            pytest.param(
+                "table+60", preprocess.ImplausibleFrame, "frame at t=0.0 expects 60.0 m/s^2, beyond 50",
+                id="table-shifted",
+            ),
+            # the first command reaches the plant after its 0.2 s delay
+            pytest.param(
+                1e-3, preprocess.ImplausibleFrame, "frame at t=0.21 measures 117031.79536512059 m/s^2, beyond 50",
+                id="tiny-mass",
+            ),
+            pytest.param(
+                1e-310, preprocess.NonFiniteFrame, "frame at t=0.21 holds a non-finite value", id="subnormal-mass"
+            ),
+        ],
+    )
+    def test_refused_frame_stops_the_run_at_its_cycle(self, change, error, message, online, monkeypatch):
+        # a static run admits its feedback after the loop, yet a frame push would
+        # refuse still stops it at that frame's cycle, with push's error
+        config = simulator.ax1(load=0.0)
+        table = config.true_table()
+        if change == "table+60":
+            table = CalibrationTable(table.speed_grid, table.cmd_grid, table.acc + 60.0)
+        else:
+            config = dataclasses.replace(config, mass=change)
+        stepped = []
+        real_step = simulator.Plant.step
+
+        def step(plant, cmd):
+            stepped.append(cmd)
+            return real_step(plant, cmd)
+
+        monkeypatch.setattr(simulator.Plant, "step", step)
+        profile = simulator.trapezoid_profile(config.v_max, 30.0)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            simulator.run_closed_loop(config, table, profile, online=online)
+        t = float(message.split("t=")[1].split()[0])
+        assert len(stepped) == round(t * config.sample_rate) + 1
 
     @pytest.mark.parametrize(
         "name, value",
@@ -466,6 +526,47 @@ class TestControlCycle:
             monkeypatch.setattr(simulator, name, counted)
         run = ax1_loop(ax1_table, online=online, duration=5.0)
         assert calls == {"lookup_cmd": len(run.trace), "lookup_acc": len(run.trace)}
+
+    @pytest.mark.parametrize("preset, load", [("ax1", 0.0), ("ax1", 150.0), ("mkz", 0.0), ("mkz", 600.0)])
+    def test_static_marks_equal_a_push_replay(self, preset, load, monkeypatch):
+        # a static run admits its feedback in one call after the loop; pushing
+        # the same frames one at a time must give the same (cmd_ref, v_ref),
+        # and the run must mark their cells
+        real = preprocess.OnlinePreprocessor.admitted_refs
+        calls = []
+
+        def spy(pre, *stream):
+            calls.append((pre.sample_rate, pre.delay, stream, real(pre, *stream)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(preprocess.OnlinePreprocessor, "admitted_refs", spy)
+        config = simulator.PRESETS[preset](load=load)
+        table = simulator.PRESETS[preset](load=0.0).true_table()
+        run = simulator.run_closed_loop(config, table, simulator.trapezoid_profile(config.v_max, 300.0))
+        ((rate, delay, stream, (cmd_ref, v_ref)),) = calls
+        trace = run.trace
+        for got, want in zip(stream, (trace.t, trace.cmd, trace.v)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(stream[5], trace.v_des)
+        pre = preprocess.OnlinePreprocessor(rate, delay)
+        feedback = [pre.push(*frame) for frame in zip(*(col.tolist() for col in stream))]
+        pushed = [(fb.cmd_ref, fb.v_ref) for fb in feedback if fb is not None]
+        assert len(pushed) > 15000
+        assert list(zip(cmd_ref.tolist(), v_ref.tolist())) == pushed
+        expect = np.zeros(run.visited_cells.shape, dtype=bool)
+        expect[
+            preprocess.nearest_cell_index(table.cmd_grid, [c for c, _ in pushed]),
+            preprocess.nearest_cell_index(table.speed_grid, [v for _, v in pushed]),
+        ] = True
+        assert np.array_equal(run.visited_cells, expect)
+
+    @pytest.mark.parametrize("online", [False, True])
+    def test_run_shorter_than_the_delay_marks_no_cell(self, online):
+        # nothing matures: the first pairing is due after the 0.2 s delay and the filter's lag
+        config = simulator.ax1(load=0.0)
+        profile = simulator.trapezoid_profile(config.v_max, 5.0)
+        run = simulator.run_closed_loop(config, config.true_table(), profile, duration=0.15, online=online)
+        assert len(run.trace) == 15 and not run.visited_cells.any()
 
     def test_updates_go_through_the_online_module(self, ax1_table, monkeypatch):
         # every published table is built by ``online.update_table`` and made
