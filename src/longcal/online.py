@@ -227,17 +227,20 @@ class OnlineUpdate(NamedTuple):
 class OnlineCalibrator:
     """Session state and driver: one ``step`` per control cycle.
 
-    ``init_table`` passes ``invert`` and is then frozen for the session:
-    every similarity cost refers to it.  Only the published (table,
-    revision) pair advances.  Skipped cycles (converged speed, or no
-    admissible feedback) still count toward ``cycle``; nothing decays
-    between updates.  Readers may take snapshots from any thread, but
-    updates run on one: each forms its step in the calibrator's two cost
-    buffers.
+    ``cfg`` is an OnlineConfig, or None for the defaults; anything else
+    raises TypeError before any set-up.  ``init_table`` passes ``invert``
+    and is then frozen for the session: every similarity cost refers to it.
+    Only the published (table, revision) pair advances.  Skipped cycles
+    (converged speed, or no admissible feedback) still count toward
+    ``cycle``; nothing decays between updates.  Readers may take snapshots
+    from any thread, but updates run on one: each forms its step in the
+    calibrator's two cost buffers.
     """
 
     def __init__(self, init_table: CalibrationTable, cfg: OnlineConfig | None = None):
-        self.cfg = cfg or OnlineConfig()
+        if not (cfg is None or isinstance(cfg, OnlineConfig)):
+            raise TypeError(f"cfg must be None or an OnlineConfig, got {cfg!r}")
+        self.cfg = OnlineConfig() if cfg is None else cfg
         self.init_table = invert(init_table)
         self.cycle = 0
         # the cost matrix and its similarity factor, rewritten by every update

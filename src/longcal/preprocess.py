@@ -9,9 +9,9 @@ outlier removal; the binned samples are one array (``GridBins``), and
 per-cycle feedback is delay-aligned, low-pass filtered, and admitted only
 when the recent command history is steady and the speed/acceleration
 errors agree in sign: ``OnlinePreprocessor.push`` decides frame by frame,
-as an adapting loop needs, and ``OnlinePreprocessor.admitted_refs``
-decides the same for a whole recorded stream at once, as a run with a
-frozen table can.  Both sides share the threshold constants below.
+as an adapting loop needs, and ``OnlinePreprocessor.admitted_refs`` decides
+the same at once for a whole stream on a tracking run's clock, as a run
+with a frozen table can.  Both sides share the threshold constants below.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .table import check_grid, check_number
+from .table import ParseError, check_grid, check_number
 
 MODE_MANUAL = "MANUAL"
 MODE_AUTO = "AUTO"
@@ -37,10 +37,6 @@ LOG_HEADER = ["t", "cmd", "v", "acc", "theta", "mode"]
 
 class InvalidRate(ValueError):
     """Sample rate too low for the filter cutoff."""
-
-
-class InsufficientHistory(ValueError):
-    """Command history does not cover the consistency window."""
 
 
 class NonFiniteFrame(ValueError):
@@ -67,7 +63,6 @@ MEAN_WINDOW = 5  # samples in the offline IMU mean filter
 CELL_CAP = 50  # samples a grid cell keeps at most offline, drawn uniformly with seed 0
 CONSISTENCY_WINDOW = 0.1  # s either side of the issue time that the history gate reads
 FILTER_ORDER, FILTER_CUTOFF_HZ = 3, 2.0  # the online Butterworth low-pass
-REPLAY_BLOCK = 4096  # pairings OnlinePreprocessor.admitted_refs gates at once: bounds its temporaries
 
 
 class TimestampNotIncreasing(ValueError):
@@ -123,24 +118,28 @@ class DriveLog:
 
     @classmethod
     def from_csv(cls, text: str) -> "DriveLog":
+        """Parse ``to_csv``'s text, skipping blank lines.
+
+        ParseError names the 1-based line of a row that is not six fields,
+        the first five of them numbers.
+        """
         reader = csv.reader(io.StringIO(text))
         header = next(reader, None)
         if header != LOG_HEADER:
             raise ValueError(f"expected drive log header {LOG_HEADER}, got {header}")
-        cols = {name: [] for name in LOG_HEADER}
+        numbers, mode = [], []
         for row in reader:
             if not row:
                 continue
-            for name, value in zip(LOG_HEADER, row):
-                cols[name].append(value)
-        return cls(
-            t=np.array(cols["t"], dtype=float),
-            cmd=np.array(cols["cmd"], dtype=float),
-            v=np.array(cols["v"], dtype=float),
-            acc=np.array(cols["acc"], dtype=float),
-            theta=np.array(cols["theta"], dtype=float),
-            mode=np.array(cols["mode"], dtype=object),
-        )
+            if len(row) != len(LOG_HEADER):
+                raise ParseError(reader.line_num, f"expected {len(LOG_HEADER)} fields, got {len(row)}")
+            try:
+                numbers.append([float(x) for x in row[:-1]])
+            except ValueError as exc:
+                raise ParseError(reader.line_num, f"bad number: {exc}") from None
+            mode.append(row[-1])
+        t, cmd, v, acc, theta = np.array(numbers, dtype=float).reshape(-1, 5).T.copy()
+        return cls(t, cmd, v, acc, theta, np.array(mode, dtype=object))
 
     @classmethod
     def load(cls, path) -> "DriveLog":
@@ -355,24 +354,20 @@ class ButterworthFilter:
         return y
 
 
-def command_consistency_gate(t_hist, cmd_hist, t_ref: float, dt: float) -> bool:
-    """True when every command near t_ref stays within ``CMD_GAP`` of the reference.
+def command_consistency_gate(t_hist, cmd_hist, t_ref: float, cmd_ref: float, dt: float) -> bool:
+    """True when every command near t_ref stays within ``CMD_GAP`` of ``cmd_ref``.
 
-    The window read is ``CONSISTENCY_WINDOW`` either side of t_ref.
-    ``t_hist`` must be increasing, sampled every ``dt`` seconds.  The
-    reference command is the history value nearest ``t_ref`` (the earlier one
-    on a tie).  Plain Python over any indexable sequence, so the online
-    preprocessor passes its history deques as they are, once per control
-    cycle.  Raises InsufficientHistory unless the samples inside the window
-    reach both of its ends (within half a sample) and miss at most one of its
-    ``round(2 * CONSISTENCY_WINDOW / dt) + 1`` frames: a frame ``push``
-    refused leaves such a one-sample hole, while a jump in the clock leaves
-    an edge empty.
-
-    Only the window's start is searched over the whole history; its end and
-    the sample nearest ``t_ref`` lie at or after that start (and the nearest
-    at or before the end), so both searches run inside the range already
-    found, and the window's commands are read in one slice.
+    ``cmd_ref`` is the command issued at ``t_ref``; the window read is
+    ``CONSISTENCY_WINDOW`` either side of t_ref.  ``t_hist`` must be
+    increasing, sampled every ``dt`` seconds.  Plain Python over any
+    indexable sequence, so the online preprocessor passes its history
+    deques as they are, once per control cycle.  False, too, unless the
+    samples inside the window reach both of its ends (within half a sample)
+    and miss at most one of its ``round(2 * CONSISTENCY_WINDOW / dt) + 1``
+    frames: a frame ``push`` refused leaves such a one-sample hole, while a
+    jump in the clock, or a history too short yet, leaves an edge empty.
+    Only the window's start is searched over the whole history; its end is
+    searched from there, and the window's commands are read in one slice.
     """
     window = CONSISTENCY_WINDOW
     lo = bisect_left(t_hist, t_ref - window - 1e-12)
@@ -382,13 +377,7 @@ def command_consistency_gate(t_hist, cmd_hist, t_ref: float, dt: float) -> bool:
         or t_hist[lo] > t_ref - window + 0.5 * dt
         or t_hist[hi - 1] < t_ref + window - 0.5 * dt
     ):
-        raise InsufficientHistory(
-            f"{hi - lo} samples do not fill [{t_ref - window:g}, {t_ref + window:g}]"
-        )
-    k = bisect_left(t_hist, t_ref, lo, hi)
-    if k == len(t_hist) or (k > 0 and t_ref - t_hist[k - 1] <= t_hist[k] - t_ref):
-        k -= 1
-    cmd_ref = cmd_hist[k]
+        return False
     # max(c) - ref rounds to max over c of (c - ref): float subtraction is
     # monotone, so this is |c - ref| < gap for every c in the window
     cmds = list(islice(cmd_hist, lo, hi))
@@ -456,19 +445,19 @@ class OnlinePreprocessor:
     dropped), causal Butterworth filtering of the IMU channel
     (``ButterworthFilter.__call__``, one sample per cycle), then two gates
     that must both pass: the speed/acceleration sign-consistency check, and
-    ``command_consistency_gate`` with a gap of ``CMD_GAP`` over the history
-    deques for the ``CONSISTENCY_WINDOW`` either side of the issue time (a
-    window the history does not yet fill admits nothing).  The sign check
-    runs first: it is the cheaper one, and on a tracking run it refuses
-    about a third of the frames that reach it.  ``delay`` must be a finite
-    number (not a bool) that covers the consistency window.
+    ``command_consistency_gate`` with a gap of ``CMD_GAP`` between the
+    issued command and the history deques for the ``CONSISTENCY_WINDOW``
+    either side of its issue time (a window the history does not yet fill
+    admits nothing).  The sign check runs first: it is the cheaper one, and
+    on a tracking run it refuses about a third of the frames that reach it.
+    ``delay`` must be a finite number (not a bool) that covers the
+    consistency window.
 
-    ``push`` is the reference.  ``admitted_refs`` gives, for a fresh
-    preprocessor and a whole recorded AUTO stream, the ``(cmd_ref, v_ref)``
-    that pushing every frame would give, in one pass over arrays: a caller
-    that needs the feedback only after the stream ends (a run whose table
-    does not adapt) calls it once instead of ``push`` every cycle.  A change
-    to the gates must change both; the tests hold them equal.
+    ``push`` is the reference.  ``admitted_refs`` gives what pushing every
+    frame of a recorded stream on a tracking run's clock would, in one pass
+    over arrays, for a caller that needs the feedback only after the stream
+    ends (a run whose table does not adapt).  A change to the gates must
+    change both; the tests hold them equal.
     """
 
     def __init__(self, sample_rate: float, delay: float = 0.2):
@@ -509,10 +498,9 @@ class OnlinePreprocessor:
         whose ``t`` is not later than the previous frame's raises
         TimestampNotIncreasing (``check_frame``); each leaves the filter
         and the history as they were, so the next valid frame carries on.
-        ``v`` is checked for
-        finiteness only: every table read clamps speed to the grid.  After a
-        forward jump in ``t``, the commands whose delay matured inside the
-        jump are dropped unadmitted.
+        ``v`` is checked for finiteness only: every table read clamps speed
+        to the grid.  After a forward jump in ``t``, the commands whose
+        delay matured inside the jump are dropped unadmitted.
         """
         hist = self._t_hist
         check_frame(t, cmd, v, acc_meas, acc_expected, v_expected, theta, hist[-1] if hist else -math.inf)
@@ -534,98 +522,60 @@ class OnlinePreprocessor:
                 continue
             if not speed_acc_consistency_gate(v_expected, v, acc_ref, acc_f):
                 continue
-            try:
-                steady = command_consistency_gate(self._t_hist, self._cmd_hist, t_ref, self._dt)
-            except InsufficientHistory:
-                steady = False
-            if not steady:
+            if not command_consistency_gate(self._t_hist, self._cmd_hist, t_ref, cmd_ref, self._dt):
                 continue
             feedback = OnlineFeedback(
                 cmd_ref=cmd_ref, v_ref=v_ref, acc_ref=acc_ref, acc_k=acc_f, v_k=v
             )
         return feedback
 
-    def admitted_refs(self, t, cmd, v, acc_meas, acc_expected, v_expected):
+    def admitted_refs(self, cmd, v, acc_meas, acc_expected, v_expected):
         """``(cmd_ref, v_ref)`` of every feedback ``push`` would return for a recorded stream.
 
-        The stream holds ``push``'s arguments as arrays, one entry per frame,
-        every frame AUTO with steering 0.  The two arrays returned are the
-        ``cmd_ref`` and ``v_ref`` of the feedback that pushing every frame,
-        in order, through this preprocessor while it is fresh would return,
-        frame by frame.  The preprocessor is left as it is; one that has
-        already been pushed raises ValueError.  A stream holding a frame
-        that ``push`` would refuse raises what ``push`` would raise at the
-        first such frame (``check_frame``), and returns nothing.
+        The stream holds ``push``'s arguments but ``t`` as arrays, one entry
+        per frame, every frame AUTO with steering 0, frame k at
+        ``k * (1 / sample_rate)``: the clock ``run_closed_loop`` records.
+        The arrays returned are those of the feedback that pushing every
+        frame, in order, through this preprocessor while it is fresh would
+        return.  The preprocessor is left as it is; one already pushed raises
+        ValueError.  A stream with a frame ``push`` would refuse raises what
+        ``push`` raises at the first such frame (``check_frame``).
 
-        The stages are ``push``'s, on arrays of ``REPLAY_BLOCK`` pairings at
-        a time: a fresh ``ButterworthFilter`` run one sample at a time; each
-        frame paired with the first frame at which its command matures, by a
-        search over the recorded times, and dropped when stale; the sign gate
-        on arrays; ``command_consistency_gate``'s window, bounds,
-        ``InsufficientHistory`` conditions and nearest reference on the
-        recorded times, limited to the frames the history deques would hold;
-        and, where several pairings mature at one frame, the last one admitted.
+        The stages are ``push``'s, on arrays: a fresh ``ButterworthFilter``;
+        each frame paired with the frame at which its command matures; the
+        sign gate; and ``command_consistency_gate``'s window, edges and
+        comparisons.  On this clock each frame pops at most one pairing,
+        none of them stale, and every window is still in the history deques.
         """
         if self._t_hist:
             raise ValueError("admitted_refs replays a stream from the start: this preprocessor was pushed")
-        cols = [np.asarray(x, dtype=float) for x in (t, cmd, v, acc_meas, acc_expected, v_expected)]
-        t, cmd, v, acc_meas, acc_expected, v_expected = cols
-        n = len(t)
+        cols = [np.asarray(x, dtype=float) for x in (cmd, v, acc_meas, acc_expected, v_expected)]
+        cmd, v, acc_meas, acc_expected, v_expected = cols
+        n = len(cmd)
         if any(x.shape != (n,) for x in cols):
             raise ValueError("the stream's columns must be one-dimensional and of equal length")
-        valid = np.isfinite(t) & np.isfinite(v) & np.isfinite(v_expected) & (np.abs(cmd) <= CMD_LIMIT)
+        dt, half, window = self._dt, 0.5 * self._dt, CONSISTENCY_WINDOW
+        t = np.arange(n) * dt
+        valid = np.isfinite(v) & np.isfinite(v_expected) & (np.abs(cmd) <= CMD_LIMIT)
         valid &= (np.abs(acc_meas) <= ACC_MEAS_LIMIT) & (np.abs(acc_expected) <= ACC_MEAS_LIMIT)
-        valid[1:] &= t[1:] > t[:-1]
         if not valid.all():
             k = int(np.argmin(valid))
-            check_frame(*(x.item(k) for x in cols), 0.0, t.item(k - 1) if k else -math.inf)
+            check_frame(t.item(k), *(x.item(k) for x in cols))
         acc_f = np.fromiter(map(ButterworthFilter(self.sample_rate), memoryview(acc_meas)), float, n)
-        dt, half, window = self._dt, 0.5 * self._dt, CONSISTENCY_WINDOW
-        reach = t + half  # frame j pops every pairing due by reach[j]
-        kept_i, kept_j = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
-        # pairings a block at a time, so that the temporaries stay small
-        for start in range(0, n, REPLAY_BLOCK):
-            # frame j pops pairing i: the first frame, not before i, at which
-            # t[i] + delay_total <= t[j] + half
-            i = np.arange(start, min(start + REPLAY_BLOCK, n))
-            due = t[i] + self.delay_total
-            j = np.maximum(np.searchsorted(reach, due), i)
-            matured = j < n
-            i, j, due = i[matured], j[matured], due[matured]
-            # not stale (matured no more than half a sample before frame j),
-            # and the sign gate
-            keep = (due >= t[j] - half) & speed_acc_consistency_gate(
-                v_expected[j], v[j], acc_expected[i], acc_f[j]
-            )
-            i, j = i[keep], j[keep]
-
-            # command_consistency_gate over frames first..j, the history at frame j
-            first = np.maximum(j + 1 - self._t_hist.maxlen, 0)
-            stop = j + 1
-            t_ref = t[i]
-            lo = np.clip(np.searchsorted(t, t_ref - window - 1e-12), first, stop)
-            hi = np.maximum(np.clip(np.searchsorted(t, t_ref + window + 1e-12, "right"), first, stop), lo)
-            end = np.maximum(hi - 1, lo)  # the window's last frame (lo when empty: the count test fails)
-            k = np.clip(np.searchsorted(t, t_ref), lo, hi)
-            k -= (k == stop) | ((k > first) & (t_ref - t[k - 1] <= t[np.minimum(k, n - 1)] - t_ref))
-            cmd_ref = cmd[k]
-            top, bottom = cmd[lo], cmd[lo]
-            for d in range(1, int((hi - lo).max(initial=0))):
-                at = np.minimum(lo + d, end)
-                np.maximum(top, cmd[at], out=top)
-                np.minimum(bottom, cmd[at], out=bottom)
-            keep = (
-                (hi - lo >= max(round(2.0 * window / dt), 1))
-                & (t[lo] <= t_ref - window + 0.5 * dt)
-                & (t[end] >= t_ref + window - 0.5 * dt)
-                & (top - cmd_ref < CMD_GAP)
-                & (cmd_ref - bottom < CMD_GAP)
-            )
-            kept_i.append(i[keep])
-            kept_j.append(j[keep])
-        del acc_f, reach  # before the concatenation, the method's last peak
-        i, j = np.concatenate(kept_i), np.concatenate(kept_j)
-        # several pairings popped at one frame: push returns the last admitted
-        last = np.ones(len(j), dtype=bool)
-        last[:-1] = j[1:] != j[:-1]
-        return cmd[i[last]], v[i[last]]
+        # frame j pops pairing i: the first frame at which t[i] + delay_total <= t[j] + half;
+        # j rises with i, so the pairings that mature inside the stream come first
+        j = np.searchsorted(t + half, t + self.delay_total)
+        j = j[: np.searchsorted(j, n)]
+        i = np.flatnonzero(speed_acc_consistency_gate(v_expected[j], v[j], acc_expected[: len(j)], acc_f[j]))
+        # command_consistency_gate around each t[i], with cmd[i] as the reference
+        t_ref, cmd_ref = t[i], cmd[i]
+        lo = np.searchsorted(t, t_ref - window - 1e-12)
+        hi = np.searchsorted(t, t_ref + window + 1e-12, "right")  # lo <= i < hi
+        # each window's extremes, from reduceat over the pairs (lo, hi): a
+        # sentinel lets hi reach n, and the spans between windows are dropped
+        ext, bounds = np.append(cmd, 0.0), np.column_stack([lo, hi]).ravel()
+        top, bottom = np.maximum.reduceat(ext, bounds)[::2], np.minimum.reduceat(ext, bounds)[::2]
+        # every frame is in the stream, so the edges imply the gate's count of frames
+        keep = (t[lo] <= t_ref - window + half) & (t[hi - 1] >= t_ref + window - half)
+        keep &= (top - cmd_ref < CMD_GAP) & (cmd_ref - bottom < CMD_GAP)
+        return cmd_ref[keep], v[i[keep]]

@@ -18,8 +18,9 @@ The tracking loop likewise has two ways to admit feedback.  An online run
 pushes every frame through ``OnlinePreprocessor.push``, because each cycle's
 update needs the feedback at once.  A static run needs it only to mark
 ``visited_cells``, so it records the frames and hands them to
-``OnlinePreprocessor.admitted_refs`` once, after the loop: on the 300 s
-mkz +600 kg run the median cycle falls from 9.2 to 5.3 µs (same machine).
+``OnlinePreprocessor.admitted_refs`` once, after the loop, on the loop's
+clock ``k * dt``: on the 300 s mkz +600 kg run the median cycle falls from
+9.2 to 5.3 µs (same machine).
 """
 
 from __future__ import annotations
@@ -483,19 +484,23 @@ def run_closed_loop(
     adapts every cycle from feedback that ``OnlinePreprocessor.push`` gates
     that cycle; otherwise it stays frozen, and the run decides which
     feedback to admit after the loop, in one ``admitted_refs`` call over the
-    recorded frames, with the same result.  Either way each cycle reads the
-    table once each way, through this module's ``lookup_cmd`` and
-    ``lookup_acc``, and the controller always reads the latest published
-    snapshot.  Raises ValueError, before any set-up, unless ``duration``
-    (the profile's by default) is finite and gives at least one cycle,
-    ``seed`` is an integer >= 0, neither a bool, and ``config.delay`` is at
-    least the history gate's ``CONSISTENCY_WINDOW``; Diverged when the speed
-    error exceeds ``DIVERGE_LIMIT`` for a sustained second; NonFiniteCommand,
-    before the plant steps, when the command clamped to ``CMD_LIMIT`` is NaN
-    (an infinite one clamps to the limit); and, at the cycle of the frame,
-    what ``push`` raises for a frame it refuses (``check_frame``), static
-    runs included.
+    recorded frames on the cycles' clock ``k * dt``, with the same result.
+    Either way each cycle reads the table once each way, through this
+    module's ``lookup_cmd`` and ``lookup_acc``, and the controller always
+    reads the latest published snapshot.  Raises, before any set-up,
+    TypeError unless ``online`` is None, a Python bool or an OnlineConfig,
+    and ValueError unless ``duration`` (the profile's by default) is finite
+    and gives at least one cycle, ``seed`` is an integer >= 0, neither a
+    bool, and ``config.delay`` is at least the history gate's
+    ``CONSISTENCY_WINDOW``; Diverged when the speed error exceeds
+    ``DIVERGE_LIMIT`` for a sustained second; NonFiniteCommand, before the
+    plant steps, when the command clamped to ``CMD_LIMIT`` is NaN (an
+    infinite one clamps to the limit); and, at the cycle of the frame, what
+    ``push`` raises for a frame it refuses (``check_frame``), static runs
+    included.
     """
+    if not (online is None or isinstance(online, (bool, OnlineConfig))):
+        raise TypeError(f"online must be None, a bool or an OnlineConfig, got {online!r}")
     duration = profile.duration if duration is None else duration
     n = _frame_count(duration, config.sample_rate)
     check_number("seed", seed, 0, integer=True)
@@ -587,9 +592,9 @@ def run_closed_loop(
         else:
             diverged_since = None
 
-    t_col = np.arange(n) * dt  # bit-equal to each cycle's k * dt
+    t_col = np.arange(n) * dt  # bit-equal to each cycle's k * dt, and admitted_refs's clock
     if cal is None:
-        marked_cmd, marked_v = pre.admitted_refs(t_col, cmd_col, v_col, meas_col, pred_col, vdes_col)
+        marked_cmd, marked_v = pre.admitted_refs(cmd_col, v_col, meas_col, pred_col, vdes_col)
     else:
         marked_cmd, marked_v = [e.cmd_ref for e in events], [e.v_ref for e in events]
     visited = np.zeros((len(cmd_grid), len(speed_grid)), dtype=bool)

@@ -534,6 +534,16 @@ class TestPublish:
 
 
 class TestOnlineCalibrator:
+    # True ran until the first update, then failed with AttributeError: ... 'sigma'
+    @pytest.mark.parametrize("cfg", [0.5, True, "yes", {"sigma": 0.05}])
+    def test_refuses_cfg_of_another_type(self, cfg, monkeypatch):
+        def no_setup(*args, **kwargs):
+            raise AssertionError("the calibrator was set up before cfg was checked")
+
+        monkeypatch.setattr(longcal.online, "invert", no_setup)
+        with pytest.raises(TypeError, match=r"^cfg must be None or an OnlineConfig, got "):
+            OnlineCalibrator(grid_table(), cfg)
+
     def test_converged_cycle_skips_update_but_counts(self):
         cal = OnlineCalibrator(grid_table(), OnlineConfig())
         assert cal.step(1.0, 1.02, fb(acc_ref=1.0, acc_k=0.0)) is None

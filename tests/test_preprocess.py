@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.signal import butter, group_delay, lfilter, lfilter_zi
 
 import longcal
+from longcal import ParseError
 from longcal.preprocess import (
     CELL_CAP,
     CMD_GAP,
@@ -24,7 +25,6 @@ from longcal.preprocess import (
     DriveLog,
     GridBins,
     ImplausibleFrame,
-    InsufficientHistory,
     InvalidRate,
     NonFiniteFrame,
     OnlinePreprocessor,
@@ -239,22 +239,29 @@ class TestCommandConsistencyGate:
 
     def test_constant_true(self):
         t, c = self.make_hist(lambda ti: 30.0)
-        assert command_consistency_gate(t, c, 0.5, dt=0.01)
+        assert command_consistency_gate(t, c, 0.5, 30.0, dt=0.01)
 
     def test_spike_false(self):
         t, c = self.make_hist(lambda ti: 30.0)
         c[np.argmin(np.abs(t - 0.55))] = 30.0 + 2 * CMD_GAP
-        assert not command_consistency_gate(t, c, 0.5, dt=0.01)
+        assert not command_consistency_gate(t, c, 0.5, 30.0, dt=0.01)
 
     def test_slow_ramp_true(self):
         # slope gap/0.3s: max deviation inside +-0.1s is gap/3 < gap
         t, c = self.make_hist(lambda ti: CMD_GAP / 0.3 * ti)
-        assert command_consistency_gate(t, c, 0.5, dt=0.01)
+        assert command_consistency_gate(t, c, 0.5, c[50], dt=0.01)
+
+    @pytest.mark.parametrize("offset", [CMD_GAP, -CMD_GAP])
+    def test_reference_one_gap_off_the_history_false(self, offset):
+        # the gate compares the history with the command it is handed,
+        # not with a command it reads back from the history
+        t, c = self.make_hist(lambda ti: 30.0)
+        assert not command_consistency_gate(t, c, 0.5, 30.0 + offset, dt=0.01)
+        assert command_consistency_gate(t, c, 0.5, 30.0 + 0.99 * offset, dt=0.01)
 
     def test_insufficient_history(self):
         t, c = self.make_hist(lambda ti: 0.0, t0=0.45, t1=0.55)
-        with pytest.raises(InsufficientHistory):
-            command_consistency_gate(t, c, 0.5, dt=0.01)
+        assert not command_consistency_gate(t, c, 0.5, 0.0, dt=0.01)
 
     @pytest.mark.parametrize(
         "dropped, fills",
@@ -269,11 +276,7 @@ class TestCommandConsistencyGate:
     def test_window_with_missing_frames(self, dropped, fills):
         t, c = self.make_hist(lambda ti: 0.0)
         keep = np.all(np.abs(t[:, None] - np.array(dropped)) > 0.005, axis=1)
-        if fills:
-            assert command_consistency_gate(t[keep], c[keep], 0.5, dt=0.01)
-        else:
-            with pytest.raises(InsufficientHistory):
-                command_consistency_gate(t[keep], c[keep], 0.5, dt=0.01)
+        assert command_consistency_gate(t[keep], c[keep], 0.5, 0.0, dt=0.01) == fills
 
 
 class TestSpeedAccConsistencyGate:
@@ -550,29 +553,27 @@ class TestOnlinePreprocessor:
         assert len(late) / len(stepped) > 0.8
 
 
-STREAM = ("t", "cmd", "v", "acc_meas", "acc_expected", "v_expected")
+STREAM = ("cmd", "v", "acc_meas", "acc_expected", "v_expected")
 
 
-def recorded_stream(seed, n, rate, jumps, jitter, pace=1.0):
-    """A clean AUTO stream of ``n`` frames near ``rate`` Hz, as arrays named by ``STREAM``.
+def recorded_stream(seed, n, lattice=False):
+    """A clean AUTO stream of ``n`` frames, as arrays named by ``STREAM``.
 
     Commands dwell 5-80 frames at levels drawn over the whole pedal range,
-    so most dwell changes cross ``CMD_GAP``, with 1 % noise.  The IMU and
-    the expectations carry noise that flips the sign gate.  ``jumps``
-    frames follow a forward clock jump of up to a second, ``jitter``
-    spreads each step by half that fraction of a sample either way, and
-    ``pace`` scales every step: at 0.8 the history deques, sized for
-    ``rate``, span too little time to hold the window of a long delay.
+    so most dwell changes cross ``CMD_GAP``, with 1 % noise; on a
+    ``lattice`` the levels are multiples of half ``CMD_GAP``, without
+    noise, so that many changes are exactly one gap.  The IMU and the
+    expectations carry noise that flips the sign gate.
     """
     rng = np.random.default_rng(seed)
-    steps = pace * (1.0 + jitter * rng.uniform(-0.5, 0.5, n)) / rate
-    steps[rng.integers(0, n, jumps)] += rng.uniform(0.0, 1.0, jumps)
-    dwells = np.repeat(rng.uniform(-CMD_LIMIT, CMD_LIMIT, n), rng.integers(5, 81, n))[:n]
+    levels = rng.uniform(-CMD_LIMIT, CMD_LIMIT, n)
+    if lattice:
+        levels = np.round(levels / (0.5 * CMD_GAP)) * (0.5 * CMD_GAP)
+    dwells = np.repeat(levels, rng.integers(5, 81, n))[:n]
     v = np.abs(np.cumsum(rng.normal(0.0, 0.05, n)))
     acc = 0.02 * dwells + rng.normal(0.0, 0.3, n)
     return dict(
-        t=np.cumsum(steps) - steps[0],
-        cmd=np.clip(dwells + rng.normal(0.0, 1.0, n), -CMD_LIMIT, CMD_LIMIT),
+        cmd=np.clip(dwells + rng.normal(0.0, 0.0 if lattice else 1.0, n), -CMD_LIMIT, CMD_LIMIT),
         v=v,
         acc_meas=acc,
         acc_expected=acc + rng.normal(0.0, 0.3, n),
@@ -581,8 +582,12 @@ def recorded_stream(seed, n, rate, jumps, jitter, pace=1.0):
 
 
 def pushed_refs(pre, stream):
-    """``(cmd_ref, v_ref)`` of each feedback from pushing ``stream`` frame by frame."""
-    frames = zip(*(stream[name].tolist() for name in STREAM))
+    """``(cmd_ref, v_ref)`` of each feedback from pushing ``stream`` frame by frame.
+
+    Frame k comes at ``k * (1 / sample_rate)``, the clock of a tracking run.
+    """
+    t = np.arange(len(stream["cmd"])) * (1.0 / pre.sample_rate)
+    frames = zip(t.tolist(), *(stream[name].tolist() for name in STREAM))
     return [(fb.cmd_ref, fb.v_ref) for fb in (pre.push(*f) for f in frames) if fb is not None]
 
 
@@ -591,26 +596,25 @@ class TestAdmittedRefs:
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 600),
-        rate=st.sampled_from([50.0, 100.0, 200.0]),
-        delay=st.floats(0.1, 0.5),
-        jumps=st.integers(0, 3),
-        jitter=st.sampled_from([0.0, 0.5]),
-        pace=st.sampled_from([1.0, 0.8]),
+        # 75 Hz: the history window holds 7.5 samples either side
+        rate=st.sampled_from([50.0, 75.0, 100.0, 200.0, 333.0]),
+        delay=st.floats(0.1, 0.6),
+        lattice=st.booleans(),
     )
-    def test_equals_pushing_every_frame(self, seed, n, rate, delay, jumps, jitter, pace):
-        stream = recorded_stream(seed, n, rate, jumps, jitter, pace)
+    def test_equals_pushing_every_frame(self, seed, n, rate, delay, lattice):
+        stream = recorded_stream(seed, n, lattice)
         cmd_ref, v_ref = OnlinePreprocessor(rate, delay).admitted_refs(**stream)
         assert list(zip(cmd_ref.tolist(), v_ref.tolist())) == pushed_refs(OnlinePreprocessor(rate, delay), stream)
 
     def test_streams_admit_some_feedback_and_refuse_some(self):
         # so that the property compares feedback, not two empty lists
-        stream = recorded_stream(seed=7, n=600, rate=100.0, jumps=3, jitter=0.0)
+        stream = recorded_stream(seed=7, n=600)
         assert 100 < len(pushed_refs(OnlinePreprocessor(100.0), stream)) < 400
 
-    @pytest.mark.parametrize("change, error", REFUSED_FRAMES)
+    # admitted_refs builds the clock itself, so no frame's time can be refused
+    @pytest.mark.parametrize("change, error", [p for p in REFUSED_FRAMES if "t" not in p.values[0]])
     def test_refuses_what_push_refuses(self, change, error):
-        stream = recorded_stream(seed=1, n=400, rate=100.0, jumps=0, jitter=0.0)
-        stream["t"] = np.arange(400) * 0.01  # frame k at k * 0.01, as the cases assume
+        stream = recorded_stream(seed=1, n=400)
         for name, value in change.items():
             stream[name][200] = value
         pre = OnlinePreprocessor(100.0)
@@ -620,9 +624,9 @@ class TestAdmittedRefs:
             OnlinePreprocessor(100.0).admitted_refs(**stream)
 
     def test_needs_a_fresh_preprocessor(self):
-        stream = recorded_stream(seed=1, n=50, rate=100.0, jumps=0, jitter=0.0)
+        stream = recorded_stream(seed=1, n=50)
         pre = OnlinePreprocessor(100.0)
-        pre.push(**{name: stream[name][0] for name in STREAM})
+        pre.push(0.0, **{name: stream[name][0] for name in STREAM})
         with pytest.raises(ValueError, match="from the start"):
             pre.admitted_refs(**stream)
         stream["v"] = stream["v"][:-1]
@@ -650,6 +654,24 @@ class TestDriveLogCsv:
         lines[10], lines[11] = lines[11], lines[10]
         with pytest.raises(ValueError, match="timestamps must be strictly increasing"):
             DriveLog.from_csv("".join(lines))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # a seventh field used to be dropped without a word
+            pytest.param(lambda row: row + ",7", "line 12: expected 6 fields, got 7", id="seven-fields"),
+            # and a fifth-field mode failed in numpy, naming no line
+            pytest.param(lambda row: row.rsplit(",", 2)[0] + ",MANUAL", "line 12: expected 6 fields, got 5",
+                         id="five-fields"),
+            pytest.param(lambda row: "x," + row.split(",", 1)[1], "line 12: bad number: .*'x'", id="bad-number"),
+        ],
+    )
+    def test_malformed_row_names_its_line(self, text, edit, message):
+        lines = text.splitlines()
+        lines[11] = edit(lines[11])
+        with pytest.raises(ParseError, match=f"^{message}$") as err:
+            DriveLog.from_csv("\n".join(lines))
+        assert err.value.line == 12
 
 
 def test_runtime_imports_no_scipy():

@@ -206,6 +206,22 @@ class TestHostileInput:
         with pytest.raises(ValueError, match="duration"):
             simulator.run_closed_loop(config, table, profile, duration=duration, online=True)
 
+    # each failed only at the first update, with AttributeError: ... 'sigma';
+    # 0.0 ran static without a word
+    @pytest.mark.parametrize("online", [0.5, 0.0, 1, np.True_, "yes"])
+    def test_closed_loop_refuses_online_of_another_type(self, online, monkeypatch):
+        config = simulator.ax1(load=0.0)
+        table = config.true_table()
+        profile = simulator.trapezoid_profile(config.v_max, 5.0)
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("the loop was set up before online was checked")
+
+        for name in ("Plant", "OnlineCalibrator", "OnlinePreprocessor", "invert"):
+            monkeypatch.setattr(simulator, name, no_setup)
+        with pytest.raises(TypeError, match=r"^online must be None, a bool or an OnlineConfig, got "):
+            simulator.run_closed_loop(config, table, profile, duration=1.0, online=online)
+
     @pytest.mark.parametrize("online", [False, True])
     @pytest.mark.parametrize("delay", [0.0, 0.05])
     def test_closed_loop_refuses_delay_below_the_consistency_window(self, delay, online, monkeypatch):
@@ -545,11 +561,12 @@ class TestControlCycle:
         run = simulator.run_closed_loop(config, table, simulator.trapezoid_profile(config.v_max, 300.0))
         ((rate, delay, stream, (cmd_ref, v_ref)),) = calls
         trace = run.trace
-        for got, want in zip(stream, (trace.t, trace.cmd, trace.v)):
+        for got, want in zip(stream, (trace.cmd, trace.v)):
             assert np.array_equal(got, want)
-        assert np.array_equal(stream[5], trace.v_des)
+        assert np.array_equal(stream[4], trace.v_des)
+        # pushed on the run's recorded clock, which admitted_refs rebuilds
         pre = preprocess.OnlinePreprocessor(rate, delay)
-        feedback = [pre.push(*frame) for frame in zip(*(col.tolist() for col in stream))]
+        feedback = [pre.push(*frame) for frame in zip(*(col.tolist() for col in (trace.t, *stream)))]
         pushed = [(fb.cmd_ref, fb.v_ref) for fb in feedback if fb is not None]
         assert len(pushed) > 15000
         assert list(zip(cmd_ref.tolist(), v_ref.tolist())) == pushed
