@@ -5,8 +5,12 @@ small feedforward sigmoid network trained with Adam.  Throttle and brake
 are fitted separately on the signed command axis; a ten-fold
 cross-validation harness scores the networks on held-out folds only.  The
 network's shape, epochs, Adam step and batch size are module constants; a
-fit's one setting is its seed (``MlpHyper``).  The network trains in float32
-and predicts in float64, so tables are float64.
+fit's one setting is its seed (``MlpHyper``).  The step follows one cosine
+per fit (Loshchilov & Hutter, SGDR, arXiv:1608.03983, without restarts):
+epoch ``e`` takes ``LR * (1 + cos(pi e / EPOCHS)) / 2``, from ``LR`` down to
+near zero, which reaches in 40 epochs the fit a constant step needs 80
+for.  The network trains in float32 and predicts in float64, so tables are
+float64.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from .table import CalibrationTable, check_number, project_monotone
 
 DEADBAND_CMD = 2.0  # |cmd| below this is idle-creep ambiguity, not training data
 HIDDEN = 16  # units in each of the network's two hidden layers
-EPOCHS = 80  # passes over the training rows per fit
-LR = 1e-2  # Adam step size
+EPOCHS = 40  # passes over the training rows per fit
+LR = 0.07  # Adam's peak step size, taken in the first epoch and cosine-decayed
 BATCH = 512  # rows per Adam step at most; small sets keep 8 steps an epoch
 
 
@@ -52,12 +56,13 @@ class MlpHyper:
     """The seed of one network fit: initialisation, shuffling and batch order.
 
     Every other setting is a module constant: a 2 -> ``HIDDEN`` -> ``HIDDEN``
-    -> 1 net trained for ``EPOCHS`` epochs by Adam at step ``LR`` on batches
-    of at most ``BATCH`` rows.  A fit costs about epochs x samples: one sign
-    of a 20-minute drive log trains in about 0.13-0.2 s on ax1 (9k samples)
-    and 0.25-0.47 s on mkz (16k-25k samples) on one core of a 2-vCPU Xeon VM
-    (best of three per fit, log seeds 0-2).  Raises ValueError unless
-    ``seed`` is an integer >= 0; a bool is refused.
+    -> 1 net trained for ``EPOCHS`` epochs by Adam, its step cosine-decayed
+    from ``LR``, on batches of at most ``BATCH`` rows.  A fit costs about
+    epochs x samples: one sign of a 20-minute drive log trains in about
+    0.07-0.08 s on ax1 (9k samples) and 0.13-0.21 s on mkz (16k-25k
+    samples) on one core of a 2-vCPU Xeon VM (best of three per fit, log
+    seeds 0-2).  Raises ValueError unless ``seed`` is an integer >= 0; a
+    bool is refused.
     """
 
     seed: int = 0
@@ -116,6 +121,11 @@ class MlpModel:
 
 def train_mlp(samples, hyper: MlpHyper | None = None) -> MlpModel:
     """Fit the network by minibatch Adam on mean squared error.
+
+    Every step of epoch ``e`` (from 0) has the step size
+    ``LR * 0.5 * (1 + cos(pi * e / EPOCHS))``, computed in float64 once per
+    epoch: ``LR`` in the first epoch, decaying to about ``LR / 650`` in the
+    last.
 
     Deterministic for a given seed (initialisation, shuffling, and batch
     order all come from one generator).  Constant targets trigger a
@@ -228,6 +238,7 @@ def train_mlp(samples, hyper: MlpHyper | None = None) -> MlpModel:
         return float(((a2 @ weights[2] + biases[2] - y) ** 2).mean())
 
     for epoch in range(EPOCHS):
+        lr = LR * 0.5 * (1.0 + math.cos(math.pi * epoch / EPOCHS))
         order = rng.permutation(n)
         # a permutation is always in range, and "clip" writes straight into
         # out where the default mode goes through a buffer
@@ -276,7 +287,7 @@ def train_mlp(samples, hyper: MlpHyper | None = None) -> MlpModel:
             v += step_buf
             # theta -= lr (m / c1) / (sqrt(v / c2) + eps)
             np.divide(m, c1, out=step_buf)
-            step_buf *= LR
+            step_buf *= lr
             np.divide(v, c2, out=denom)
             np.sqrt(denom, out=denom)
             denom += eps

@@ -120,8 +120,8 @@ class DriveLog:
     def from_csv(cls, text: str) -> "DriveLog":
         """Parse ``to_csv``'s text, skipping blank lines.
 
-        ParseError names the 1-based line of a row that is not six fields,
-        the first five of them numbers.
+        ParseError names the 1-based line of a row that is not six fields:
+        five finite numbers and a mode, ``MANUAL`` or ``AUTO``.
         """
         reader = csv.reader(io.StringIO(text))
         header = next(reader, None)
@@ -134,9 +134,14 @@ class DriveLog:
             if len(row) != len(LOG_HEADER):
                 raise ParseError(reader.line_num, f"expected {len(LOG_HEADER)} fields, got {len(row)}")
             try:
-                numbers.append([float(x) for x in row[:-1]])
+                values = [float(x) for x in row[:-1]]
             except ValueError as exc:
                 raise ParseError(reader.line_num, f"bad number: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise ParseError(reader.line_num, "non-finite value")
+            if row[-1] not in (MODE_MANUAL, MODE_AUTO):
+                raise ParseError(reader.line_num, f"mode must be {MODE_MANUAL} or {MODE_AUTO}, got {row[-1]!r}")
+            numbers.append(values)
             mode.append(row[-1])
         t, cmd, v, acc, theta = np.array(numbers, dtype=float).reshape(-1, 5).T.copy()
         return cls(t, cmd, v, acc, theta, np.array(mode, dtype=object))

@@ -664,6 +664,14 @@ class TestDriveLogCsv:
             pytest.param(lambda row: row.rsplit(",", 2)[0] + ",MANUAL", "line 12: expected 6 fields, got 5",
                          id="five-fields"),
             pytest.param(lambda row: "x," + row.split(",", 1)[1], "line 12: bad number: .*'x'", id="bad-number"),
+            # a non-finite number used to fail in the constructor, naming no line
+            pytest.param(lambda row: row.split(",", 1)[0] + ",nan," + row.split(",", 2)[2],
+                         "line 12: non-finite value", id="nan"),
+            pytest.param(lambda row: ",".join(row.split(",")[:4]) + ",-inf," + row.rsplit(",", 1)[1],
+                         "line 12: non-finite value", id="inf"),
+            # and any mode string was accepted
+            pytest.param(lambda row: row.rsplit(",", 1)[0] + ",BOGUS",
+                         "line 12: mode must be MANUAL or AUTO, got 'BOGUS'", id="bad-mode"),
         ],
     )
     def test_malformed_row_names_its_line(self, text, edit, message):

@@ -467,7 +467,7 @@ class TestPlant:
 
 class TestPaperClaim:
     def test_online_beats_static_under_load(self, online_run, static_run):
-        # measured on this run: speed 0.086 vs 0.352 m/s, station 0.36 vs 5.17 m
+        # measured on this run: speed 0.081 vs 0.350 m/s, station 0.48 vs 6.16 m
         on, st = online_run.metrics, static_run.metrics
         assert on.speed_mae < 0.5 * st.speed_mae
         assert on.station_mae < 0.2 * st.station_mae
@@ -505,8 +505,8 @@ class TestPaperClaim:
     def test_twenty_minutes_of_driving_is_enough(self, preset):
         # the paper's table "only needs twenty-minutes data collection".
         # Measured: ax1 covers 0.936 of the cells at 1200 s (visited-cell
-        # MAE 0.0276 m/s^2) and 0.825 at 300 s; unloaded mkz covers 0.909
-        # (MAE 0.0198) and 0.595.  mkz() at its default 200 kg covers 0.892.
+        # MAE 0.0228 m/s^2) and 0.825 at 300 s; unloaded mkz covers 0.909
+        # (MAE 0.0153) and 0.595.  mkz() at its default 200 kg covers 0.892.
         config = simulator.PRESETS[preset](load=0.0)
         table, _, _, bins = offline_fit(config, duration=1200.0)
         visited = bins.counts() > 0
