@@ -2,10 +2,11 @@
 
 Offline, a raw drive log is smoothed (a ``MEAN_WINDOW`` mean on the IMU
 channel), aligned (each frame paired with the command one actuator delay
-earlier), selected (one mask for steady, informative, straight frames) and
-binned on the grid with uniform per-cell downsampling to ``CELL_CAP`` and
-outlier removal; the binned samples are one array (``GridBins``), and
-``offline_pipeline``'s one setting is the delay.  Online,
+earlier, the delay read from the log itself by ``estimate_delay``),
+selected (one mask for steady, informative, straight frames) and binned on
+the grid with uniform per-cell downsampling to ``CELL_CAP`` and outlier
+removal; the binned samples are one array (``GridBins``), and
+``offline_pipeline`` has no setting.  Online,
 per-cycle feedback is delay-aligned, low-pass filtered, and admitted only
 when the recent command history is steady and the speed/acceleration
 errors agree in sign: ``OnlinePreprocessor.push`` decides frame by frame,
@@ -47,6 +48,10 @@ class ImplausibleFrame(ValueError):
     """An online frame's command or acceleration is finite but beyond any vehicle's."""
 
 
+class UnreadableDelay(ValueError):
+    """A drive log from which ``estimate_delay`` cannot read the actuator delay."""
+
+
 # |acc_meas| or |acc_expected| above this is no vehicle's acceleration but a
 # corrupt frame: about 5 g, against peaks near 6 m/s^2 on both simulated
 # presets, with room for hard braking and sensor noise.  Such a frame,
@@ -61,6 +66,7 @@ STEER_LIMIT = 10.0  # |steering| from which a frame is a turn: dropped offline a
 CMD_GAP = 10.0  # command spread (%) around an issue time that marks a transition, both sides
 MEAN_WINDOW = 5  # samples in the offline IMU mean filter
 CELL_CAP = 50  # samples a grid cell keeps at most offline, drawn uniformly with seed 0
+MAX_DELAY = 1.0  # s: the longest actuator delay estimate_delay searches a drive log for
 CONSISTENCY_WINDOW = 0.1  # s either side of the issue time that the history gate reads
 FILTER_ORDER, FILTER_CUTOFF_HZ = 3, 2.0  # the online Butterworth low-pass
 
@@ -72,8 +78,9 @@ class TimestampNotIncreasing(ValueError):
 class DriveLog:
     """Column-oriented drive log with CSV round-trip.
 
-    Columns follow the interchange header ``t,cmd,v,acc,theta,mode``;
-    timestamps must be strictly increasing.
+    Columns follow the interchange header ``t,cmd,v,acc,theta,mode``, 1-D and
+    of equal length; numbers finite, timestamps strictly increasing and
+    modes ``MANUAL`` or ``AUTO``, as ``from_csv`` requires; ValueError otherwise.
     """
 
     def __init__(self, t, cmd, v, acc, theta, mode):
@@ -83,14 +90,17 @@ class DriveLog:
         self.acc = np.asarray(acc, dtype=float)
         self.theta = np.asarray(theta, dtype=float)
         self.mode = np.asarray(mode, dtype=object)
-        n = len(self.t)
-        if not all(len(col) == n for col in (self.cmd, self.v, self.acc, self.theta, self.mode)):
-            raise ValueError("all log columns must have equal length")
+        n = self.t.size
+        if not all(col.shape == (n,) for col in (self.t, self.cmd, self.v, self.acc, self.theta, self.mode)):
+            raise ValueError("all log columns must be one-dimensional and of equal length")
         if n and np.any(np.diff(self.t) <= 0):
             raise ValueError("timestamps must be strictly increasing")
         for col in (self.t, self.cmd, self.v, self.acc, self.theta):
             if not np.all(np.isfinite(col)):
                 raise ValueError("log values must be finite")
+        bad = set(self.mode.tolist()) - {MODE_MANUAL, MODE_AUTO}
+        if bad:
+            raise ValueError(f"mode must be {MODE_MANUAL} or {MODE_AUTO}, got {min(map(repr, bad))}")
 
     def __len__(self):
         return len(self.t)
@@ -185,13 +195,15 @@ class GridBins:
     frame, grouped by cell in (command, speed) index order and in log order
     within a cell.  ``cell[k]`` is row k's flat cell index
     ``i * len(speed_grid) + j``: its nearest grid point is
-    ``(cmd_grid[i], speed_grid[j])``.
+    ``(cmd_grid[i], speed_grid[j])``.  ``delay`` is the actuator delay in
+    seconds that paired each frame with its command, as read from the log.
     """
 
     cmd_grid: np.ndarray
     speed_grid: np.ndarray
     samples: np.ndarray
     cell: np.ndarray
+    delay: float
 
     def counts(self) -> np.ndarray:
         """Retained samples per cell, shaped ``(len(cmd_grid), len(speed_grid))``."""
@@ -203,8 +215,8 @@ class GridBins:
         return self.samples
 
 
-def _bin_and_uniform(cmd, v, acc, cmd_grid, speed_grid) -> GridBins:
-    """Assign samples ``(cmd, v, acc)`` to their nearest grid cells.
+def _bin_and_uniform(cmd, v, acc, cmd_grid, speed_grid, delay) -> GridBins:
+    """Assign samples ``(cmd, v, acc)``, paired ``delay`` seconds apart, to their nearest grid cells.
 
     Cells holding more than ``CELL_CAP`` samples are reduced to ``CELL_CAP``
     by a uniform draw without replacement (one generator seeded with 0,
@@ -230,37 +242,56 @@ def _bin_and_uniform(cmd, v, acc, cmd_grid, speed_grid) -> GridBins:
     cell = cell_id[idx]
     samples.setflags(write=False)
     cell.setflags(write=False)
-    return GridBins(cmd_grid, speed_grid, samples, cell)
+    return GridBins(cmd_grid, speed_grid, samples, cell, delay)
 
 
-def offline_pipeline(log: DriveLog, cmd_grid, speed_grid, delay: float = 0.2) -> GridBins:
+def estimate_delay(log: DriveLog) -> int:
+    """The log's actuator delay in samples: the lag at which command changes best meet IMU changes.
+
+    That is the lag, 0 up to ``MAX_DELAY``, maximising ``sum_k |dcmd[k]| *
+    |dacc[k + lag]|``, one dot product over the same k per lag, where
+    ``dcmd`` and ``dacc`` are the frame-to-frame changes of the command and
+    the raw IMU.  Raises UnreadableDelay for a log of fewer frames than the
+    lags plus ``MEAN_WINDOW`` (too short to search them all and leave a
+    frame to bin), for no command change meeting an IMU change (a constant
+    command), and for a peak at the last lag, beyond which the delay may lie.
+    """
+    dt = float(np.median(np.diff(log.t))) if len(log) > 1 else math.inf
+    lags = round(min(MAX_DELAY / dt, len(log)))  # a log shorter than that raises next
+    if len(log) < lags + MEAN_WINDOW:
+        raise UnreadableDelay(f"a log of {len(log)} frames is too short to search {lags} lags of delay")
+    dcmd, dacc = np.abs(np.diff(log.cmd)), np.abs(np.diff(log.acc))
+    m = len(dcmd) - lags
+    score = [np.dot(dcmd[:m], dacc[lag : lag + m]) for lag in range(lags + 1)]
+    best = int(np.argmax(score))
+    if score[best] == 0.0:
+        raise UnreadableDelay("no command change in the log meets an IMU change: no delay to read")
+    if best == lags:
+        raise UnreadableDelay(f"the peak is at the last lag searched, {MAX_DELAY:g} s: the delay may be longer")
+    return best
+
+
+def offline_pipeline(log: DriveLog, cmd_grid, speed_grid) -> GridBins:
     """Clean a raw log into binned training samples.
 
-    Stages: the IMU channel is smoothed with the ``MEAN_WINDOW`` samples
+    Stages: the actuator delay is read from the log (``estimate_delay``);
+    the IMU channel is smoothed with the ``MEAN_WINDOW`` samples
     preceding each frame (on the contiguous raw stream, before any frame is
     dropped); each measurement frame is attributed to the command issued
-    ``delay`` seconds earlier (the actuator is not instantaneous, and hard
+    that delay earlier (the actuator is not instantaneous, and hard
     braking sweeps the speed range too fast for same-frame pairing to mean
     anything); one mask keeps the frames that are steady (their issuing
     commands spread less than ``CMD_GAP``), informative (not braking at
     standstill) and straight (|steering| below ``STEER_LIMIT``); and those
     are binned with per-cell downsampling to ``CELL_CAP`` and outlier
-    removal.  A log too short for the delay and the window gives empty
-    bins.  Raises ValueError before any work unless ``delay`` is a finite
-    number >= 0, not a bool, and both grids pass ``check_grid``.
+    removal.  Raises ValueError before any work unless both grids pass
+    ``check_grid``, and UnreadableDelay before any binning for a log
+    ``estimate_delay`` cannot read, a log too short for its window included.
     """
-    check_number("delay", delay, 0.0)
     cmd_grid = check_grid("cmd_grid", cmd_grid)
     speed_grid = check_grid("speed_grid", speed_grid)
-    nothing = np.empty(0)
-    if len(log) < 2:
-        return _bin_and_uniform(nothing, nothing, nothing, cmd_grid, speed_grid)
-    dt = float(np.median(np.diff(log.t)))
-    # a delay longer than the log leaves nothing (and delay / dt may overflow)
-    shift = int(round(min(delay / dt, len(log))))
+    shift = estimate_delay(log)
     start = shift + MEAN_WINDOW
-    if len(log) <= start:
-        return _bin_and_uniform(nothing, nothing, nothing, cmd_grid, speed_grid)
     # each frame from ``start`` on, as slices: its speed, the command issued
     # ``shift`` frames before it, and the mean IMU of the MEAN_WINDOW frames
     # before it
@@ -281,7 +312,8 @@ def offline_pipeline(log: DriveLog, cmd_grid, speed_grid, delay: float = 0.2) ->
     v_still = 0.5 * float(speed_grid[1] - speed_grid[0])
     keep &= ~((cmd < 0.0) & (v < v_still))
     keep &= np.abs(log.theta[start:]) < STEER_LIMIT
-    return _bin_and_uniform(cmd[keep], v[keep], acc[keep], cmd_grid, speed_grid)
+    delay = shift * float(np.median(np.diff(log.t)))
+    return _bin_and_uniform(cmd[keep], v[keep], acc[keep], cmd_grid, speed_grid, delay)
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +575,10 @@ class OnlinePreprocessor:
         The arrays returned are those of the feedback that pushing every
         frame, in order, through this preprocessor while it is fresh would
         return.  The preprocessor is left as it is; one already pushed raises
-        ValueError.  A stream with a frame ``push`` would refuse raises what
-        ``push`` raises at the first such frame (``check_frame``).
+        ValueError.  Frames are not checked: the one caller,
+        ``run_closed_loop``, stops a static run at the cycle of any frame
+        ``push`` would refuse (``check_frame``), so a stream it passes holds
+        none.
 
         The stages are ``push``'s, on arrays: a fresh ``ButterworthFilter``;
         each frame paired with the frame at which its command matures; the
@@ -561,11 +595,6 @@ class OnlinePreprocessor:
             raise ValueError("the stream's columns must be one-dimensional and of equal length")
         dt, half, window = self._dt, 0.5 * self._dt, CONSISTENCY_WINDOW
         t = np.arange(n) * dt
-        valid = np.isfinite(v) & np.isfinite(v_expected) & (np.abs(cmd) <= CMD_LIMIT)
-        valid &= (np.abs(acc_meas) <= ACC_MEAS_LIMIT) & (np.abs(acc_expected) <= ACC_MEAS_LIMIT)
-        if not valid.all():
-            k = int(np.argmin(valid))
-            check_frame(t.item(k), *(x.item(k) for x in cols))
         acc_f = np.fromiter(map(ButterworthFilter(self.sample_rate), memoryview(acc_meas)), float, n)
         # frame j pops pairing i: the first frame at which t[i] + delay_total <= t[j] + half;
         # j rises with i, so the pairings that mature inside the stream come first

@@ -1,6 +1,6 @@
-"""Offline cleaning ops, the Butterworth filter, and the online feedback gates."""
+"""Offline cleaning ops, the delay estimate, the Butterworth filter, and the online feedback gates."""
 
-import re
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -12,31 +12,34 @@ from hypothesis import strategies as st
 from scipy.signal import butter, group_delay, lfilter, lfilter_zi
 
 import longcal
-from longcal import ParseError
+from longcal import ParseError, preprocess
 from longcal.preprocess import (
     CELL_CAP,
     CMD_GAP,
     CMD_LIMIT,
     CONSISTENCY_WINDOW,
+    LOG_HEADER,
+    MAX_DELAY,
     MEAN_WINDOW,
     MODE_AUTO,
     STEER_LIMIT,
     ButterworthFilter,
     DriveLog,
-    GridBins,
     ImplausibleFrame,
     InvalidRate,
     NonFiniteFrame,
     OnlinePreprocessor,
     TimestampNotIncreasing,
+    UnreadableDelay,
     _bin_and_uniform,
     _outlier_mask,
     command_consistency_gate,
+    estimate_delay,
     nearest_cell_index,
     offline_pipeline,
     speed_acc_consistency_gate,
 )
-from longcal.simulator import ax1, generate_drive_log
+from longcal.simulator import PRESETS, ax1, generate_drive_log, run_closed_loop, trapezoid_profile
 
 
 def make_log(n=100, cmd=None, v=None, acc=None, theta=None, mode=None, dt=0.01):
@@ -49,6 +52,29 @@ def make_log(n=100, cmd=None, v=None, acc=None, theta=None, mode=None, dt=0.01):
     return DriveLog(t, cmd, v, acc, theta, mode)
 
 
+def edited(log, **columns):
+    """``log`` with the named columns replaced."""
+    return DriveLog(**{name: columns.get(name, getattr(log, name)) for name in LOG_HEADER})
+
+
+def answering(cmd, shift, gain=0.01):
+    """An IMU channel ``gain * cmd`` that answers each command ``shift`` frames late."""
+    cmd = np.asarray(cmd, float)
+    return gain * np.r_[np.full(shift, cmd[0]), cmd[: len(cmd) - shift]]
+
+
+@pytest.fixture
+def presets_delay(monkeypatch):
+    """Make ``offline_pipeline`` pair frames 0.2 s (20 samples) apart, the presets' delay.
+
+    For a log made to test one stage, whose command or IMU channel holds
+    no delay to read.
+    """
+    monkeypatch.setattr(preprocess, "estimate_delay", lambda log: 20)
+
+
+# one command and one IMU value: no delay to read
+@pytest.mark.usefixtures("presets_delay")
 class TestSteeringGate:
     """offline_pipeline's steering selection, on a log steady in command and speed."""
 
@@ -112,12 +138,12 @@ class TestBinAndUniform:
         rng = np.random.default_rng(1)
         n = 60
         cols = (rng.uniform(-100, 100, n), rng.uniform(0, 3, n), np.zeros(n))
-        bins = _bin_and_uniform(*cols, np.linspace(-100, 100, 5), np.linspace(0, 3, 4))
+        bins = _bin_and_uniform(*cols, np.linspace(-100, 100, 5), np.linspace(0, 3, 4), 0.2)
         assert bins.counts().sum() == n
 
     def test_cap_semantics(self):
         cols = (np.full(1000, 20.0), np.full(1000, 1.0), np.zeros(1000))
-        bins = _bin_and_uniform(*cols, np.linspace(-100, 100, 5), np.linspace(0, 3, 4))
+        bins = _bin_and_uniform(*cols, np.linspace(-100, 100, 5), np.linspace(0, 3, 4), 0.2)
         assert bins.counts().sum() == CELL_CAP
 
     def test_seeded_reproducible(self):
@@ -126,8 +152,8 @@ class TestBinAndUniform:
         n = 500
         cols = (rng.uniform(-100, 100, n), rng.uniform(0, 3, n), rng.normal(0, 1, n))
         grids = (np.linspace(-100, 100, 3), np.linspace(0, 3, 2))
-        a = _bin_and_uniform(*cols, *grids)
-        b = _bin_and_uniform(*cols, *grids)
+        a = _bin_and_uniform(*cols, *grids, 0.2)
+        b = _bin_and_uniform(*cols, *grids, 0.2)
         assert a.counts().max() <= CELL_CAP
         assert np.array_equal(a.counts(), b.counts())
         assert np.array_equal(a.to_samples(), b.to_samples())
@@ -138,7 +164,7 @@ class TestBinAndUniform:
         cmd_grid = np.linspace(-100, 100, 9)
         speed_grid = np.linspace(0, 3, 7)
         cols = (rng.uniform(-100, 100, n), rng.uniform(0, 3, n), rng.normal(0, 1, n))
-        bins = _bin_and_uniform(*cols, cmd_grid, speed_grid)
+        bins = _bin_and_uniform(*cols, cmd_grid, speed_grid, 0.2)
         half_c = 0.5 * (cmd_grid[1] - cmd_grid[0])
         half_v = 0.5 * (speed_grid[1] - speed_grid[0])
         i, j = np.divmod(bins.cell, len(speed_grid))
@@ -299,34 +325,49 @@ class TestOfflinePipeline:
     def test_pipeline_applies_all_stages(self):
         rng = np.random.default_rng(6)
         n = 2000
+        cmd = np.repeat(rng.uniform(-100, 100, n // 100), 100)
         log = make_log(
             n=n,
-            cmd=np.repeat(rng.uniform(-100, 100, n // 100), 100),
+            cmd=cmd,
             v=rng.uniform(0, 3, n),
-            acc=rng.normal(0.5, 0.05, n),
+            acc=rng.normal(0.5, 0.05, n) + answering(cmd, 20),
             theta=np.where(np.arange(n) % 10 == 0, 30.0, 0.0),
         )
         bins = offline_pipeline(log, np.linspace(-100, 100, 9), np.linspace(0, 3, 4))
+        assert bins.delay == pytest.approx(0.2)
         counts = bins.counts()
         assert counts.sum() > 0
         assert counts.max() <= CELL_CAP
 
     @pytest.mark.parametrize(
-        "args",
+        "make, error, message",
         [
-            # none may run: a NaN or negative delay as no shift, True as a
-            # 1 s delay
-            pytest.param(dict(delay=float("nan")), id="delay-nan"),
-            pytest.param(dict(delay=-0.2), id="delay-negative"),
-            pytest.param(dict(delay=float("inf")), id="delay-inf"),
-            pytest.param(dict(delay=True), id="delay-bool"),
-            # numpy's bool is no ``bool``: it kept a 1 s delay's samples
-            pytest.param(dict(delay=np.True_), id="delay-numpy-bool"),
+            # the CSV round trip refused this mode at its line; the
+            # constructor took it
+            pytest.param(lambda log: edited(log, mode=np.r_[log.mode[:-1], ["BOGUS"]]),
+                         ValueError, "^mode must be MANUAL or AUTO, got 'BOGUS'$", id="mode-bogus"),
+            # columns of shape (n, 1) passed the length check, but the
+            # delay estimate's np.diff needs 1-D ones
+            pytest.param(lambda log: edited(log, cmd=log.cmd[:, None]),
+                         ValueError, "one-dimensional", id="cmd-2d"),
+            pytest.param(lambda log: edited(log, t=log.t[:, None], acc=log.acc[:, None]),
+                         ValueError, "one-dimensional", id="t-and-acc-2d"),
+            # the three logs estimate_delay cannot read
+            pytest.param(lambda log: edited(log, cmd=np.full(len(log), 30.0)),
+                         UnreadableDelay, "^no command change", id="constant-command"),
+            pytest.param(lambda log: DriveLog(*[getattr(log, name)[:104] for name in LOG_HEADER]),
+                         UnreadableDelay, "^a log of 104 frames is too short", id="too-short"),
+            pytest.param(lambda log: generate_drive_log(dataclasses.replace(ax1(), delay=MAX_DELAY), 60.0, seed=0),
+                         UnreadableDelay, "^the peak is at the last lag searched", id="peak-at-the-last-lag"),
         ],
     )
-    def test_invalid_arguments_raise(self, args, ax1_log):
-        with pytest.raises(ValueError, match=next(iter(args))):
-            offline_pipeline(ax1_log, *ax1().table_grids(), **args)
+    def test_invalid_arguments_raise(self, make, error, message, ax1_log, monkeypatch):
+        def no_binning(*args):
+            raise AssertionError("the pipeline binned a log it cannot read")
+
+        monkeypatch.setattr(preprocess, "_bin_and_uniform", no_binning)
+        with pytest.raises(error, match=message):
+            offline_pipeline(make(ax1_log), *ax1().table_grids())
 
     @pytest.mark.parametrize(
         "name, bad",
@@ -348,26 +389,28 @@ class TestOfflinePipeline:
 
     @pytest.mark.parametrize("delay", [0.2, 0.0])
     def test_filter_and_delay_alignment(self, delay):
-        # a command steady to the gate yet distinct per frame, a speed equal
-        # to the frame index (one speed cell per frame), and a curved IMU ramp
-        n, dt = 40, 0.01
-        k = np.arange(n)
-        raw = (0.1 * k) ** 2 - 0.3 * k
-        log = make_log(n=n, cmd=50.0 + 0.01 * k, v=k, acc=raw, dt=dt)
-        rows = offline_pipeline(log, np.array([0.0, 50.0, 100.0]), k.astype(float), delay=delay).to_samples()
+        # a command steady to the gate yet distinct per frame, stepping by up
+        # to 8 % every 7-15 frames; a speed equal to the frame index (one
+        # speed cell per frame); and a curved IMU ramp plus an answer to the
+        # command ``delay`` late
+        n, dt = 200, 0.01
         shift = round(delay / dt)
+        k = np.arange(n)
+        rng = np.random.default_rng(0)
+        cmd = 50.0 + 0.01 * k + np.repeat(rng.uniform(-4.0, 4.0, n), rng.integers(7, 16, n))[:n]
+        raw = 0.01 * (0.1 * k) ** 2 - 0.03 * k + answering(cmd, shift, gain=0.1)
+        log = make_log(n=n, cmd=cmd, v=k, acc=raw, dt=dt)
+        bins = offline_pipeline(log, np.array([0.0, 50.0, 100.0]), k.astype(float))
+        assert bins.delay == pytest.approx(delay, abs=1e-12)
+        rows = bins.to_samples()
         frames = np.rint(rows[:, 1]).astype(int)
         assert np.array_equal(frames, np.arange(shift + MEAN_WINDOW, n))
         assert np.array_equal(rows[:, 0], log.cmd[frames - shift])
         means = [raw[f - MEAN_WINDOW : f].mean() for f in frames]
         np.testing.assert_allclose(rows[:, 2], means, rtol=0, atol=1e-12)
 
-    def test_delay_beyond_the_log_keeps_nothing(self, ax1_log):
-        grids = ax1().table_grids()
-        assert offline_pipeline(ax1_log, *grids, delay=60.0).counts().sum() == 0
-        assert offline_pipeline(ax1_log, *grids, delay=1e308).counts().sum() == 0
-        assert offline_pipeline(ax1_log, *grids, delay=0.0).counts().sum() > 0
-
+    # one command and an IMU of noise alone: no delay to read
+    @pytest.mark.usefixtures("presets_delay")
     def test_mean_filter_reduces_noise(self):
         rng = np.random.default_rng(7)
         n = 5000
@@ -379,6 +422,39 @@ class TestOfflinePipeline:
         accs = bins.to_samples()[:, 2]
         assert len(accs) > 100
         assert accs.std() < 0.05 / np.sqrt(5) * 1.5
+
+
+class TestEstimateDelay:
+    @pytest.mark.parametrize("preset", ["ax1", "mkz"])
+    @pytest.mark.parametrize("delay", [0.0, 0.1, 0.2, 0.35, 0.5])
+    def test_reads_the_plants_delay(self, preset, delay):
+        # the scripted driver's dwells, from plants of several delays, a
+        # zero-delay one included: it reads lag 0
+        config = dataclasses.replace(PRESETS[preset](load=0.0), delay=delay)
+        for seed in range(3):
+            bins = offline_pipeline(generate_drive_log(config, 300.0, seed=seed), *config.table_grids())
+            assert bins.delay == pytest.approx(delay, abs=1e-9)
+
+    @pytest.mark.parametrize("preset", ["ax1", "mkz"])
+    @pytest.mark.parametrize("delay", [0.1, 0.2, 0.35, 0.5])
+    def test_reads_a_smooth_closed_loop_command(self, preset, delay):
+        # a static tracking run's command moves a little every cycle, not in
+        # dwells; its IMU is the speed's difference plus the preset's noise
+        config = dataclasses.replace(PRESETS[preset](load=0.0), delay=delay)
+        trace = run_closed_loop(config, config.true_table(), trapezoid_profile(config.v_max, 300.0)).trace
+        n, dt = len(trace), 1.0 / config.sample_rate
+        acc = np.diff(trace.v, prepend=0.0) / dt + np.random.default_rng(0).normal(0.0, config.noise_std, n)
+        log = DriveLog(trace.t, trace.cmd, trace.v, acc, np.zeros(n), np.full(n, MODE_AUTO, dtype=object))
+        assert estimate_delay(log) == round(delay / dt)
+
+    def test_shortest_log_read(self):
+        # the window's 100 lags plus MEAN_WINDOW frames; one step of the
+        # command, answered 20 frames later
+        n = round(MAX_DELAY / 0.01) + MEAN_WINDOW
+        cmd = np.where(np.arange(n) < 3, 0.0, 30.0)
+        assert estimate_delay(make_log(n=n, cmd=cmd, acc=answering(cmd, 20))) == 20
+        with pytest.raises(UnreadableDelay, match="^a log of 104 frames is too short"):
+            estimate_delay(make_log(n=n - 1, cmd=cmd[:-1], acc=answering(cmd, 20)[:-1]))
 
 
 # frames ``push`` refuses: a change to frame 200 of a steady stream, and the error
@@ -610,18 +686,6 @@ class TestAdmittedRefs:
         # so that the property compares feedback, not two empty lists
         stream = recorded_stream(seed=7, n=600)
         assert 100 < len(pushed_refs(OnlinePreprocessor(100.0), stream)) < 400
-
-    # admitted_refs builds the clock itself, so no frame's time can be refused
-    @pytest.mark.parametrize("change, error", [p for p in REFUSED_FRAMES if "t" not in p.values[0]])
-    def test_refuses_what_push_refuses(self, change, error):
-        stream = recorded_stream(seed=1, n=400)
-        for name, value in change.items():
-            stream[name][200] = value
-        pre = OnlinePreprocessor(100.0)
-        with pytest.raises(error) as pushed:
-            pushed_refs(pre, stream)
-        with pytest.raises(error, match=f"^{re.escape(str(pushed.value))}$"):
-            OnlinePreprocessor(100.0).admitted_refs(**stream)
 
     def test_needs_a_fresh_preprocessor(self):
         stream = recorded_stream(seed=1, n=50)

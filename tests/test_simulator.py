@@ -514,6 +514,17 @@ class TestPaperClaim:
         assert visited.mean() >= 0.90 and mae <= 0.03
         assert (offline_bins(config, 300.0).counts() > 0).mean() < 0.90
 
+    @pytest.mark.parametrize("preset", ["ax1", "mkz"])
+    def test_table_from_a_slower_actuator(self, preset):
+        # only the log knows the delay.  Paired 0.2 s apart, a 0.35 s
+        # plant's visited cells were 0.138 (ax1) and 0.173 (mkz) m/s^2 off.
+        # Measured with the delay read from the log: 0.023 and 0.016
+        config = simulator.PRESETS[preset](load=0.0)
+        table, _, _, bins = offline_fit(dataclasses.replace(config, delay=0.35), duration=1200.0)
+        assert bins.delay == pytest.approx(0.35, abs=1.0 / config.sample_rate)
+        visited = bins.counts() > 0
+        assert np.abs(table.acc - config.true_table().acc)[visited].mean() <= 0.03
+
 
 class TestControlCycle:
     def test_visited_cells_are_the_events_cells(self, online_run):
