@@ -156,9 +156,11 @@ def update_table(state: OnlineCalibrator, feedback: OnlineFeedback, cfg: OnlineC
     """Build the successor table for one feedback event.
 
     Every cell moves toward the measured acceleration by
-    ``sigma * gain / (1 + cost)``, so no cell ever moves further than
-    ``sigma`` times the observed error, and zero-cost cells move exactly
-    that far.  The columns the step left decreasing are re-projected
+    ``sigma * gain / (1 + cost)``, so zero-cost cells move ``sigma`` times
+    the observed error and no cell moves further but for rounding: in most
+    updates of a tracking run some cell passes that bound, by at most one
+    ulp of it (``np.spacing`` of its larger magnitude, old or new) on every
+    update measured.  The columns the step left decreasing are re-projected
     together, by the same batched isotonic repair as ``project_monotone``;
     the old table is left untouched.  A gain that is not finite (finite
     but huge feedback overflows it) raises NonFiniteTable before any array

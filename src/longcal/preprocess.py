@@ -166,21 +166,6 @@ class DriveLog:
 # offline cleaning
 # ---------------------------------------------------------------------------
 
-def _outlier_mask(values: np.ndarray) -> np.ndarray:
-    """Single-pass z-score mask: True where |x - mean| / std <= 1.
-
-    Fewer than two samples, or zero spread, keeps everything.  The mean
-    always survives its own cell, so a non-empty input never empties.
-    """
-    values = np.asarray(values, dtype=float)
-    if len(values) < 2:
-        return np.ones(len(values), dtype=bool)
-    std = values.std()
-    if std == 0.0:
-        return np.ones(len(values), dtype=bool)
-    return np.abs(values - values.mean()) / std <= 1.0
-
-
 def nearest_cell_index(grid: np.ndarray, x) -> np.ndarray:
     """Index of the nearest grid value, clamped to the grid."""
     mids = 0.5 * (grid[1:] + grid[:-1])
@@ -221,23 +206,34 @@ def _bin_and_uniform(cmd, v, acc, cmd_grid, speed_grid, delay) -> GridBins:
     Cells holding more than ``CELL_CAP`` samples are reduced to ``CELL_CAP``
     by a uniform draw without replacement (one generator seeded with 0,
     drawn cell by cell in order), then each cell drops its z-score > 1
-    outliers of ``acc``.  No samples give empty bins.
+    outliers of ``acc`` (none from one row or zero spread), in one pass over
+    all cells with each cell's ``np.mean`` and ``np.std``.  No samples give empty bins.
     """
     ci = nearest_cell_index(cmd_grid, cmd)
     vi = nearest_cell_index(speed_grid, v)
     cell_id = ci * len(speed_grid) + vi
     order = np.argsort(cell_id, kind="stable")
-    bounds = np.flatnonzero(np.r_[True, np.diff(cell_id[order]) != 0, True])
-
-    # per cell, so the draws and each cell's std are those of one cell alone
+    # each cell's first row in ``order`` (cell ids are not negative), then the end
+    bounds = np.append(np.flatnonzero(np.diff(cell_id[order], prepend=-1)), len(order))
     rng = np.random.default_rng(0)
-    kept = []
+    drawn = np.ones(len(order), dtype=bool)
     for a, b in zip(bounds[:-1], bounds[1:]):
-        idx = order[a:b]
-        if len(idx) > CELL_CAP:
-            idx = idx[np.sort(rng.choice(len(idx), size=CELL_CAP, replace=False))]
-        kept.append(idx[_outlier_mask(acc[idx])])
-    idx = np.concatenate(kept)
+        if b - a > CELL_CAP:
+            drawn[a:b] = False
+            drawn[a + rng.choice(b - a, size=CELL_CAP, replace=False)] = True
+    idx = order[drawn]
+    sizes = np.minimum(np.diff(bounds), CELL_CAP)
+    starts = np.cumsum(sizes) - sizes
+    # np.mean and np.std sum a cell's rows pairwise onto 0.0, and reduceat
+    # sums a segment onto its first element, so a 0.0 leads every segment
+    lead = starts + np.arange(len(starts))
+    dev = acc[idx]
+    mean = np.add.reduceat(np.insert(dev, starts, 0.0), lead) / sizes
+    np.abs(dev - np.repeat(mean, sizes), out=dev)
+    std = np.sqrt(np.add.reduceat(np.insert(np.square(dev), starts, 0.0), lead) / sizes)
+    std[std == 0.0] = np.inf  # zero spread, one row included: nothing is dropped
+    dev /= np.repeat(std, sizes)
+    idx = idx[dev <= 1.0]
     samples = np.column_stack([cmd[idx], v[idx], acc[idx]])
     cell = cell_id[idx]
     samples.setflags(write=False)
@@ -249,12 +245,13 @@ def estimate_delay(log: DriveLog) -> int:
     """The log's actuator delay in samples: the lag at which command changes best meet IMU changes.
 
     That is the lag, 0 up to ``MAX_DELAY``, maximising ``sum_k |dcmd[k]| *
-    |dacc[k + lag]|``, one dot product over the same k per lag, where
-    ``dcmd`` and ``dacc`` are the frame-to-frame changes of the command and
-    the raw IMU.  Raises UnreadableDelay for a log of fewer frames than the
-    lags plus ``MEAN_WINDOW`` (too short to search them all and leave a
-    frame to bin), for no command change meeting an IMU change (a constant
-    command), and for a peak at the last lag, beyond which the delay may lie.
+    |dacc[k + lag]|`` over the same k for every lag, all lags in one
+    ``np.correlate``, where ``dcmd`` and ``dacc`` are the frame-to-frame
+    changes of the command and the raw IMU.  Raises UnreadableDelay for a
+    log of fewer frames than the lags plus ``MEAN_WINDOW`` (too short to
+    search them all and leave a frame to bin), for no command change
+    meeting an IMU change (a constant command), and for a peak at the last
+    lag, beyond which the delay may lie.
     """
     dt = float(np.median(np.diff(log.t))) if len(log) > 1 else math.inf
     lags = round(min(MAX_DELAY / dt, len(log)))  # a log shorter than that raises next
@@ -262,7 +259,7 @@ def estimate_delay(log: DriveLog) -> int:
         raise UnreadableDelay(f"a log of {len(log)} frames is too short to search {lags} lags of delay")
     dcmd, dacc = np.abs(np.diff(log.cmd)), np.abs(np.diff(log.acc))
     m = len(dcmd) - lags
-    score = [np.dot(dcmd[:m], dacc[lag : lag + m]) for lag in range(lags + 1)]
+    score = np.correlate(dacc, dcmd[:m], "valid")
     best = int(np.argmax(score))
     if score[best] == 0.0:
         raise UnreadableDelay("no command change in the log meets an IMU change: no delay to read")

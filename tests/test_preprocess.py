@@ -32,7 +32,6 @@ from longcal.preprocess import (
     TimestampNotIncreasing,
     UnreadableDelay,
     _bin_and_uniform,
-    _outlier_mask,
     command_consistency_gate,
     estimate_delay,
     nearest_cell_index,
@@ -109,28 +108,143 @@ class TestSteeringGate:
         assert np.array_equal(kept, [k for k in range(self.START, 100) if theta[k] in (0.0, 5.0)])
 
 
+GRIDS = (np.linspace(-100.0, 100.0, 5), np.linspace(0.0, 3.0, 4))
+
+
+def kept_in_one_cell(acc):
+    """The ``acc`` values ``_bin_and_uniform`` keeps of rows that all share one cell, in order."""
+    n = len(acc)
+    bins = _bin_and_uniform(np.full(n, 50.0), np.full(n, 1.0), np.asarray(acc, float), *GRIDS, 0.2)
+    return bins.to_samples()[:, 2]
+
+
+def reference_bins(cmd, v, acc, cmd_grid, speed_grid, delay):
+    """``_bin_and_uniform`` as one loop over the cells, each its own draw and z-score mask."""
+    ci = nearest_cell_index(cmd_grid, cmd)
+    vi = nearest_cell_index(speed_grid, v)
+    cell_id = ci * len(speed_grid) + vi
+    order = np.argsort(cell_id, kind="stable")
+    bounds = np.flatnonzero(np.r_[True, np.diff(cell_id[order]) != 0, True])
+    rng = np.random.default_rng(0)
+    kept = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        idx = order[a:b]
+        if len(idx) > CELL_CAP:
+            idx = idx[np.sort(rng.choice(len(idx), size=CELL_CAP, replace=False))]
+        values = acc[idx]
+        if len(values) > 1 and values.std() > 0.0:
+            idx = idx[np.abs(values - values.mean()) / values.std() <= 1.0]
+        kept.append(idx)
+    idx = np.concatenate(kept)
+    return np.column_stack([cmd[idx], v[idx], acc[idx]]), cell_id[idx], delay
+
+
+def assert_bins_equal_reference(bins, *args):
+    samples, cell, delay = reference_bins(*args)
+    assert bins.samples.dtype == samples.dtype and bins.samples.shape == samples.shape
+    assert bins.samples.tobytes() == samples.tobytes()
+    assert bins.cell.dtype == cell.dtype and bins.cell.tobytes() == cell.tobytes()
+    assert bins.delay == delay
+
+
+@st.composite
+def binned_rows(draw):
+    """Shuffled rows of a few cells on ``GRIDS``, with one ``acc`` each.
+
+    Cells of one row, zero spread, two values, ties and any values, of up to
+    ``CELL_CAP + 1`` rows; a cell drawn twice holds both draws' rows, so a
+    cell can pass ``CELL_CAP + 1`` rows too.
+    """
+    acc, cells = [], []
+    # hundredths: sums of them round, so the order of a sum shows in its bits
+    value = st.integers(-800, 800).map(lambda k: k / 100)
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.sampled_from([1, 2, 3, 6, 7, 8, 9, 16, CELL_CAP - 2, CELL_CAP - 1, CELL_CAP, CELL_CAP + 1]))
+        kind = draw(st.sampled_from(["zero spread", "two values", "ties", "any"]))
+        if kind == "zero spread":
+            acc += [draw(value)] * n
+        elif kind == "two values":
+            # as many rows of each value (n even): every row is one deviation
+            # out, so which side of 1 its z-score falls on is down to rounding
+            acc += ([draw(value), draw(value)] * n)[:n]
+        elif kind == "ties":
+            acc += draw(st.lists(st.sampled_from([draw(value) for _ in range(3)]), min_size=n, max_size=n))
+        else:
+            acc += draw(st.lists(st.floats(-8.0, 8.0), min_size=n, max_size=n))
+        cells += [(draw(st.integers(0, 4)), draw(st.integers(0, 3)))] * n
+    perm = draw(st.permutations(range(len(acc))))
+    i, j = np.array(cells)[perm].T
+    # each row its own command, within half a cell of its grid point
+    cmd = GRIDS[0][i] + 1e-3 * np.arange(len(acc))
+    return cmd, GRIDS[1][j], np.array(acc)[perm]
+
+
 class TestRemoveOutliers:
+    """``_bin_and_uniform``'s z-score stage, on rows that all share one cell."""
+
     def test_all_equal_passthrough(self):
-        assert np.array_equal(_outlier_mask(np.full(6, 1.25)), np.ones(6, dtype=bool))
+        assert np.array_equal(kept_in_one_cell(np.full(6, 1.25)), np.full(6, 1.25))
 
     def test_hand_zscores(self):
         # mean 2.5, std 4.330: the 10 sits at z=1.73 and is dropped
-        mask = _outlier_mask(np.array([0.0, 0.0, 0.0, 10.0]))
-        assert np.array_equal(mask, [True, True, True, False])
+        assert np.array_equal(kept_in_one_cell([0.0, 0.0, 0.0, 10.0]), [0.0, 0.0, 0.0])
 
     def test_single_sample_passthrough(self):
-        assert np.array_equal(_outlier_mask(np.array([7.0])), [True])
+        assert np.array_equal(kept_in_one_cell([7.0]), [7.0])
 
     def test_never_empties_nonempty_input(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
             cell = rng.normal(rng.uniform(-3, 3), rng.uniform(0, 2), rng.integers(1, 12))
-            assert _outlier_mask(cell).any()
+            assert len(kept_in_one_cell(cell)) > 0
 
     def test_single_pass_not_iterated(self):
         # iterating would also kill the 4.0 on the second sweep
-        mask = _outlier_mask(np.array([0.0, 0.0, 0.0, 0.0, 4.0, 100.0]))
-        assert np.array_equal(mask, [True, True, True, True, True, False])
+        kept = kept_in_one_cell([0.0, 0.0, 0.0, 0.0, 4.0, 100.0])
+        assert np.array_equal(kept, [0.0, 0.0, 0.0, 0.0, 4.0])
+
+
+class TestBinsEqualPerCellReference:
+    """``_bin_and_uniform`` gives byte for byte the bins of one loop over the cells."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_presets_logs(self, preset, seed, monkeypatch):
+        config = PRESETS[preset]()
+        log = generate_drive_log(config, duration=60.0, seed=seed)
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return _bin_and_uniform(*args)
+
+        monkeypatch.setattr(preprocess, "_bin_and_uniform", recorded)
+        grids = config.table_grids()
+        bins = offline_pipeline(log, *grids)
+        (cmd, v, *_), = calls
+        # some cell is drawn down to CELL_CAP
+        cells = nearest_cell_index(grids[0], cmd) * len(grids[1]) + nearest_cell_index(grids[1], v)
+        assert np.bincount(cells).max() > CELL_CAP
+        assert_bins_equal_reference(bins, *calls[0])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(binned_rows())
+    def test_cells_of_every_kind(self, rows):
+        assert_bins_equal_reference(_bin_and_uniform(*rows, *GRIDS, 0.2), *rows, *GRIDS, 0.2)
+
+    def test_a_cell_at_the_cap_draws_nothing(self):
+        # a draw in the first cell would move the generator, and so the second cell's draw
+        n = 2 * CELL_CAP + 10
+        cmd = np.where(np.arange(n) < CELL_CAP, -100.0, 0.0)
+        rows = (cmd, np.zeros(n), np.random.default_rng(4).normal(0.0, 1.0, n))
+        assert_bins_equal_reference(_bin_and_uniform(*rows, *GRIDS, 0.2), *rows, *GRIDS, 0.2)
+
+    def test_empty_input_gives_empty_bins(self):
+        empty = np.zeros(0)
+        bins = _bin_and_uniform(empty, empty, empty, *GRIDS, 0.2)
+        assert bins.samples.shape == (0, 3) and len(bins.cell) == 0
+        assert not bins.counts().any()
+        assert_bins_equal_reference(bins, empty, empty, empty, *GRIDS, 0.2)
 
 
 class TestBinAndUniform:
