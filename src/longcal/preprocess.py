@@ -10,9 +10,8 @@ removal; the binned samples are one array (``GridBins``), and
 per-cycle feedback is delay-aligned, low-pass filtered, and admitted only
 when the recent command history is steady and the speed/acceleration
 errors agree in sign: ``OnlinePreprocessor.push`` decides frame by frame,
-as an adapting loop needs, and ``OnlinePreprocessor.admitted_refs`` decides
-the same at once for a whole stream on a tracking run's clock, as a run
-with a frozen table can.  Both sides share the threshold constants below.
+as an adapting loop needs.  A run with a frozen table gates nothing.  Both
+sides share the threshold constants below.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
 from typing import NamedTuple
 
@@ -300,9 +300,10 @@ def offline_pipeline(log: DriveLog, cmd_grid, speed_grid) -> GridBins:
     # a frame is usable only when the commands that produced its smoothing
     # window were steady: cells visited solely mid-transition (full throttle
     # at standstill, say) cannot be measured and stay empty instead of
-    # collecting smeared values
-    windows = np.lib.stride_tricks.sliding_window_view(log.cmd, MEAN_WINDOW + 1)
-    keep = np.ptp(windows[: end - start], axis=1) < CMD_GAP
+    # collecting smeared values.  The spread of each window's MEAN_WINDOW + 1
+    # commands is a running max minus a running min over as many shifted slices
+    shifted = [log.cmd[lag : lag + end - start] for lag in range(MEAN_WINDOW + 1)]
+    keep = reduce(np.maximum, shifted) - reduce(np.minimum, shifted) < CMD_GAP
     # braking at or near standstill pins the IMU at zero no matter the pedal:
     # those frames say nothing about the actuator, and the residual crawl
     # frames straddle the parked/rolling discontinuity, so both are dropped
@@ -423,8 +424,7 @@ def speed_acc_consistency_gate(v_ref, v_k, a_ref, a_k):
 
     ``v_ref`` is the expected speed and ``v_k`` the measured one; likewise
     for the accelerations.  A zero product (either error exactly zero)
-    fails: there is nothing consistent to learn from.  Floats give a bool;
-    numpy arrays give the test elementwise, as a bool array.
+    fails: there is nothing consistent to learn from.
     """
     return (v_ref - v_k) * (a_ref - a_k) > 0.0
 
@@ -485,13 +485,9 @@ class OnlinePreprocessor:
     admits nothing).  The sign check runs first: it is the cheaper one, and
     on a tracking run it refuses about a third of the frames that reach it.
     ``delay`` must be a finite number (not a bool) that covers the
-    consistency window.
-
-    ``push`` is the reference.  ``admitted_refs`` gives what pushing every
-    frame of a recorded stream on a tracking run's clock would, in one pass
-    over arrays, for a caller that needs the feedback only after the stream
-    ends (a run whose table does not adapt).  A change to the gates must
-    change both; the tests hold them equal.
+    consistency window.  ``push`` is the one implementation of the gates: a
+    run whose table does not adapt pushes nothing, and marks the cells it
+    read instead.
     """
 
     def __init__(self, sample_rate: float, delay: float = 0.2):
@@ -562,51 +558,3 @@ class OnlinePreprocessor:
                 cmd_ref=cmd_ref, v_ref=v_ref, acc_ref=acc_ref, acc_k=acc_f, v_k=v
             )
         return feedback
-
-    def admitted_refs(self, cmd, v, acc_meas, acc_expected, v_expected):
-        """``(cmd_ref, v_ref)`` of every feedback ``push`` would return for a recorded stream.
-
-        The stream holds ``push``'s arguments but ``t`` as arrays, one entry
-        per frame, every frame AUTO with steering 0, frame k at
-        ``k * (1 / sample_rate)``: the clock ``run_closed_loop`` records.
-        The arrays returned are those of the feedback that pushing every
-        frame, in order, through this preprocessor while it is fresh would
-        return.  The preprocessor is left as it is; one already pushed raises
-        ValueError.  Frames are not checked: the one caller,
-        ``run_closed_loop``, stops a static run at the cycle of any frame
-        ``push`` would refuse (``check_frame``), so a stream it passes holds
-        none.
-
-        The stages are ``push``'s, on arrays: a fresh ``ButterworthFilter``;
-        each frame paired with the frame at which its command matures; the
-        sign gate; and ``command_consistency_gate``'s window, edges and
-        comparisons.  On this clock each frame pops at most one pairing,
-        none of them stale, and every window is still in the history deques.
-        """
-        if self._t_hist:
-            raise ValueError("admitted_refs replays a stream from the start: this preprocessor was pushed")
-        cols = [np.asarray(x, dtype=float) for x in (cmd, v, acc_meas, acc_expected, v_expected)]
-        cmd, v, acc_meas, acc_expected, v_expected = cols
-        n = len(cmd)
-        if any(x.shape != (n,) for x in cols):
-            raise ValueError("the stream's columns must be one-dimensional and of equal length")
-        dt, half, window = self._dt, 0.5 * self._dt, CONSISTENCY_WINDOW
-        t = np.arange(n) * dt
-        acc_f = np.fromiter(map(ButterworthFilter(self.sample_rate), memoryview(acc_meas)), float, n)
-        # frame j pops pairing i: the first frame at which t[i] + delay_total <= t[j] + half;
-        # j rises with i, so the pairings that mature inside the stream come first
-        j = np.searchsorted(t + half, t + self.delay_total)
-        j = j[: np.searchsorted(j, n)]
-        i = np.flatnonzero(speed_acc_consistency_gate(v_expected[j], v[j], acc_expected[: len(j)], acc_f[j]))
-        # command_consistency_gate around each t[i], with cmd[i] as the reference
-        t_ref, cmd_ref = t[i], cmd[i]
-        lo = np.searchsorted(t, t_ref - window - 1e-12)
-        hi = np.searchsorted(t, t_ref + window + 1e-12, "right")  # lo <= i < hi
-        # each window's extremes, from reduceat over the pairs (lo, hi): a
-        # sentinel lets hi reach n, and the spans between windows are dropped
-        ext, bounds = np.append(cmd, 0.0), np.column_stack([lo, hi]).ravel()
-        top, bottom = np.maximum.reduceat(ext, bounds)[::2], np.minimum.reduceat(ext, bounds)[::2]
-        # every frame is in the stream, so the edges imply the gate's count of frames
-        keep = (t[lo] <= t_ref - window + half) & (t[hi - 1] >= t_ref + window - half)
-        keep &= (top - cmd_ref < CMD_GAP) & (cmd_ref - bottom < CMD_GAP)
-        return cmd_ref[keep], v[i[keep]]

@@ -14,13 +14,13 @@ frame by frame.  ``Plant.step`` steps the closed loop, whose command
 changes every cycle: a one-frame ``hold`` costs 3.0-3.2 µs per call against
 0.9 µs for ``step`` (one core of a 2-vCPU x86 VM, CPython 3.11).
 
-The tracking loop likewise has two ways to admit feedback.  An online run
-pushes every frame through ``OnlinePreprocessor.push``, because each cycle's
-update needs the feedback at once.  A static run needs it only to mark
-``visited_cells``, so it records the frames and hands them to
-``OnlinePreprocessor.admitted_refs`` once, after the loop, on the loop's
-clock ``k * dt``: on the 300 s mkz +600 kg run the median cycle falls from
-9.2 to 5.3 µs (same machine).
+Only an online run admits feedback: it pushes every frame through
+``OnlinePreprocessor.push``, because each cycle's update needs the feedback
+at once.  A static run is the baseline the online one is judged against,
+and its ``visited_cells`` are the cells its loop read: the nearest cell of
+every cycle's command and speed, the ``(cmd_ref, v_ref)`` that ``push``
+would record for that frame.  So every cell that the gate would admit is
+marked, with no gate run at all.
 """
 
 from __future__ import annotations
@@ -460,8 +460,8 @@ class RunResult:
     table: CalibrationTable  # final controller table (adapted when online)
     events: list[OnlineUpdate]  # what OnlineCalibrator.step returned for each update it published
     update_seconds: np.ndarray  # the events' seconds: update_table + publish per event
-    # bool grid, marked once after the run: the cells of every feedback the
-    # preprocessor admitted (static) or every published update's (online)
+    # bool grid, marked once after the run: the nearest cell of every cycle's
+    # command and speed (static), or of every published update's feedback (online)
     visited_cells: np.ndarray
 
 
@@ -482,10 +482,9 @@ def run_closed_loop(
 
     With ``online`` set (an OnlineConfig, or True for defaults) the table
     adapts every cycle from feedback that ``OnlinePreprocessor.push`` gates
-    that cycle; otherwise it stays frozen, and the run decides which
-    feedback to admit after the loop, in one ``admitted_refs`` call over the
-    recorded frames on the cycles' clock ``k * dt``, with the same result.
-    Either way each cycle reads the table once each way, through this
+    that cycle; otherwise it stays frozen, no feedback is gated, and the
+    run marks the cells it read (see ``RunResult.visited_cells``).  Either
+    way each cycle reads the table once each way, through this
     module's ``lookup_cmd`` and ``lookup_acc``, and the controller always
     reads the latest published snapshot.  Raises, before any set-up,
     TypeError unless ``online`` is None, a Python bool or an OnlineConfig,
@@ -524,9 +523,6 @@ def run_closed_loop(
 
     cmd_grid, speed_grid = table.cmd_grid, table.speed_grid
     events: list[OnlineUpdate] = []
-    # a static run's frames that admitted_refs reads besides the trace's columns
-    meas_col = np.empty(n) if cal is None else None
-    pred_col = np.empty(n) if cal is None else None
 
     vdes_col = np.empty(n)
     v_col = np.empty(n)
@@ -560,12 +556,10 @@ def run_closed_loop(
         s = plant.step(cmd)
         acc_meas = s.acc + noise.item(k)
         if cal is None:
-            # admission waits for the loop's end, but a frame push would
-            # refuse stops the run at its own cycle, as push would
+            # nothing is pushed, but a frame push would refuse stops the run
+            # at its own cycle, as push would
             if not (abs(acc_meas) <= ACC_MEAS_LIMIT and abs(acc_pred) <= ACC_MEAS_LIMIT):
                 check_frame(t, cmd, s.v, acc_meas, acc_pred, v_des)
-            meas_col[k] = acc_meas
-            pred_col[k] = acc_pred
         else:
             feedback = pre.push(
                 t, cmd=cmd, v=s.v, acc_meas=acc_meas, acc_expected=acc_pred,
@@ -592,9 +586,9 @@ def run_closed_loop(
         else:
             diverged_since = None
 
-    t_col = np.arange(n) * dt  # bit-equal to each cycle's k * dt, and admitted_refs's clock
+    t_col = np.arange(n) * dt  # bit-equal to each cycle's k * dt
     if cal is None:
-        marked_cmd, marked_v = pre.admitted_refs(cmd_col, v_col, meas_col, pred_col, vdes_col)
+        marked_cmd, marked_v = cmd_col, v_col
     else:
         marked_cmd, marked_v = [e.cmd_ref for e in events], [e.v_ref for e in events]
     visited = np.zeros((len(cmd_grid), len(speed_grid)), dtype=bool)

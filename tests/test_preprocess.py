@@ -431,6 +431,21 @@ class TestSpeedAccConsistencyGate:
         assert speed_acc_consistency_gate(2.0, 1.0, 0.3, 0.3) is False
 
 
+def shortest_readable_log():
+    """A log of exactly the frames ``estimate_delay`` needs, answered 20 frames late.
+
+    Commands dwell 1-6 frames at levels over the whole pedal range.  The
+    first change, at frame 3 inside the few frames every lag reads, is
+    full brake to full throttle: no later change is as large, so no other
+    lag scores as high.
+    """
+    n = round(MAX_DELAY / 0.01) + MEAN_WINDOW
+    rng = np.random.default_rng(3)
+    levels = np.repeat(rng.uniform(-100.0, 100.0, n), rng.integers(1, 7, n))
+    cmd = np.r_[np.full(3, -100.0), 100.0, levels][:n]
+    return make_log(n=n, cmd=cmd, v=rng.uniform(0.0, 3.0, n), acc=answering(cmd, 20))
+
+
 class TestOfflinePipeline:
     @pytest.fixture(scope="class")
     def ax1_log(self):
@@ -536,6 +551,33 @@ class TestOfflinePipeline:
         accs = bins.to_samples()[:, 2]
         assert len(accs) > 100
         assert accs.std() < 0.05 / np.sqrt(5) * 1.5
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: generate_drive_log(ax1(), duration=60.0, seed=0), id="ax1"),
+            pytest.param(lambda: generate_drive_log(PRESETS["mkz"](), duration=60.0, seed=1), id="mkz"),
+            pytest.param(shortest_readable_log, id="shortest-readable"),
+        ],
+    )
+    def test_steadiness_mask_equals_ptp_over_windows(self, make, monkeypatch):
+        # the frames kept are those whose MEAN_WINDOW + 1 issuing commands
+        # span less than CMD_GAP by np.ptp, the other two masks applied alike
+        log = make()
+        calls = []
+        monkeypatch.setattr(preprocess, "_bin_and_uniform", lambda *args: calls.append(args))
+        cmd_grid, speed_grid = ax1().table_grids()
+        offline_pipeline(log, cmd_grid, speed_grid)
+        shift = estimate_delay(log)
+        start, end = shift + MEAN_WINDOW, len(log)
+        windows = np.lib.stride_tricks.sliding_window_view(log.cmd, MEAN_WINDOW + 1)[: end - start]
+        steady = np.ptp(windows, axis=1) < CMD_GAP
+        assert 0 < steady.sum() < len(steady)
+        cmd, v = log.cmd[start - shift : end - shift], log.v[start:]
+        keep = steady & ~((cmd < 0.0) & (v < 0.5 * (speed_grid[1] - speed_grid[0])))
+        keep &= np.abs(log.theta[start:]) < STEER_LIMIT
+        ((got_cmd, got_v, *_),) = calls
+        assert got_cmd.tobytes() == cmd[keep].tobytes() and got_v.tobytes() == v[keep].tobytes()
 
 
 class TestEstimateDelay:
@@ -741,75 +783,6 @@ class TestOnlinePreprocessor:
         assert stepped
         late = [fb for fb in stepped if fb.acc_k > 0.9]
         assert len(late) / len(stepped) > 0.8
-
-
-STREAM = ("cmd", "v", "acc_meas", "acc_expected", "v_expected")
-
-
-def recorded_stream(seed, n, lattice=False):
-    """A clean AUTO stream of ``n`` frames, as arrays named by ``STREAM``.
-
-    Commands dwell 5-80 frames at levels drawn over the whole pedal range,
-    so most dwell changes cross ``CMD_GAP``, with 1 % noise; on a
-    ``lattice`` the levels are multiples of half ``CMD_GAP``, without
-    noise, so that many changes are exactly one gap.  The IMU and the
-    expectations carry noise that flips the sign gate.
-    """
-    rng = np.random.default_rng(seed)
-    levels = rng.uniform(-CMD_LIMIT, CMD_LIMIT, n)
-    if lattice:
-        levels = np.round(levels / (0.5 * CMD_GAP)) * (0.5 * CMD_GAP)
-    dwells = np.repeat(levels, rng.integers(5, 81, n))[:n]
-    v = np.abs(np.cumsum(rng.normal(0.0, 0.05, n)))
-    acc = 0.02 * dwells + rng.normal(0.0, 0.3, n)
-    return dict(
-        cmd=np.clip(dwells + rng.normal(0.0, 0.0 if lattice else 1.0, n), -CMD_LIMIT, CMD_LIMIT),
-        v=v,
-        acc_meas=acc,
-        acc_expected=acc + rng.normal(0.0, 0.3, n),
-        v_expected=v + rng.normal(0.0, 0.05, n),
-    )
-
-
-def pushed_refs(pre, stream):
-    """``(cmd_ref, v_ref)`` of each feedback from pushing ``stream`` frame by frame.
-
-    Frame k comes at ``k * (1 / sample_rate)``, the clock of a tracking run.
-    """
-    t = np.arange(len(stream["cmd"])) * (1.0 / pre.sample_rate)
-    frames = zip(t.tolist(), *(stream[name].tolist() for name in STREAM))
-    return [(fb.cmd_ref, fb.v_ref) for fb in (pre.push(*f) for f in frames) if fb is not None]
-
-
-class TestAdmittedRefs:
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 600),
-        # 75 Hz: the history window holds 7.5 samples either side
-        rate=st.sampled_from([50.0, 75.0, 100.0, 200.0, 333.0]),
-        delay=st.floats(0.1, 0.6),
-        lattice=st.booleans(),
-    )
-    def test_equals_pushing_every_frame(self, seed, n, rate, delay, lattice):
-        stream = recorded_stream(seed, n, lattice)
-        cmd_ref, v_ref = OnlinePreprocessor(rate, delay).admitted_refs(**stream)
-        assert list(zip(cmd_ref.tolist(), v_ref.tolist())) == pushed_refs(OnlinePreprocessor(rate, delay), stream)
-
-    def test_streams_admit_some_feedback_and_refuse_some(self):
-        # so that the property compares feedback, not two empty lists
-        stream = recorded_stream(seed=7, n=600)
-        assert 100 < len(pushed_refs(OnlinePreprocessor(100.0), stream)) < 400
-
-    def test_needs_a_fresh_preprocessor(self):
-        stream = recorded_stream(seed=1, n=50)
-        pre = OnlinePreprocessor(100.0)
-        pre.push(0.0, **{name: stream[name][0] for name in STREAM})
-        with pytest.raises(ValueError, match="from the start"):
-            pre.admitted_refs(**stream)
-        stream["v"] = stream["v"][:-1]
-        with pytest.raises(ValueError, match="equal length"):
-            OnlinePreprocessor(100.0).admitted_refs(**stream)
 
 
 class TestDriveLogCsv:

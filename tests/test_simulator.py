@@ -526,16 +526,20 @@ class TestPaperClaim:
         assert np.abs(table.acc - config.true_table().acc)[visited].mean() <= 0.03
 
 
+def marked_cells(table, cmd, v):
+    """A bool grid over ``table``'s cells, True at the nearest cell of each ``(cmd, v)``."""
+    marked = np.zeros(table.acc.shape, dtype=bool)
+    nearest = preprocess.nearest_cell_index
+    marked[nearest(table.cmd_grid, cmd), nearest(table.speed_grid, v)] = True
+    return marked
+
+
 class TestControlCycle:
     def test_visited_cells_are_the_events_cells(self, online_run):
         # an online run marks the cell of each published update's feedback,
         # all at once after the loop
-        table = online_run.table
-        expect = np.zeros(online_run.visited_cells.shape, dtype=bool)
-        expect[
-            preprocess.nearest_cell_index(table.cmd_grid, [e.cmd_ref for e in online_run.events]),
-            preprocess.nearest_cell_index(table.speed_grid, [e.v_ref for e in online_run.events]),
-        ] = True
+        events = online_run.events
+        expect = marked_cells(online_run.table, [e.cmd_ref for e in events], [e.v_ref for e in events])
         assert np.array_equal(online_run.visited_cells, expect)
 
     @pytest.mark.parametrize("online", [False, True])
@@ -555,46 +559,41 @@ class TestControlCycle:
         assert calls == {"lookup_cmd": len(run.trace), "lookup_acc": len(run.trace)}
 
     @pytest.mark.parametrize("preset, load", [("ax1", 0.0), ("ax1", 150.0), ("mkz", 0.0), ("mkz", 600.0)])
-    def test_static_marks_equal_a_push_replay(self, preset, load, monkeypatch):
-        # a static run admits its feedback in one call after the loop; pushing
-        # the same frames one at a time must give the same (cmd_ref, v_ref),
-        # and the run must mark their cells
-        real = preprocess.OnlinePreprocessor.admitted_refs
-        calls = []
-
-        def spy(pre, *stream):
-            calls.append((pre.sample_rate, pre.delay, stream, real(pre, *stream)))
-            return calls[-1][-1]
-
-        monkeypatch.setattr(preprocess.OnlinePreprocessor, "admitted_refs", spy)
+    def test_static_marks_the_cells_it_read(self, preset, load):
+        # a static run gates no feedback: it marks the nearest cell of each
+        # cycle's command and speed, the (cmd_ref, v_ref) push records for
+        # that frame, so it marks every cell of the feedback push would admit
         config = simulator.PRESETS[preset](load=load)
         table = simulator.PRESETS[preset](load=0.0).true_table()
         run = simulator.run_closed_loop(config, table, simulator.trapezoid_profile(config.v_max, 300.0))
-        ((rate, delay, stream, (cmd_ref, v_ref)),) = calls
         trace = run.trace
-        for got, want in zip(stream, (trace.cmd, trace.v)):
-            assert np.array_equal(got, want)
-        assert np.array_equal(stream[4], trace.v_des)
-        # pushed on the run's recorded clock, which admitted_refs rebuilds
-        pre = preprocess.OnlinePreprocessor(rate, delay)
-        feedback = [pre.push(*frame) for frame in zip(*(col.tolist() for col in (trace.t, *stream)))]
-        pushed = [(fb.cmd_ref, fb.v_ref) for fb in feedback if fb is not None]
-        assert len(pushed) > 15000
-        assert list(zip(cmd_ref.tolist(), v_ref.tolist())) == pushed
-        expect = np.zeros(run.visited_cells.shape, dtype=bool)
-        expect[
-            preprocess.nearest_cell_index(table.cmd_grid, [c for c, _ in pushed]),
-            preprocess.nearest_cell_index(table.speed_grid, [v for _, v in pushed]),
-        ] = True
-        assert np.array_equal(run.visited_cells, expect)
+        assert np.array_equal(run.visited_cells, marked_cells(table, trace.cmd, trace.v))
+        # the run's frames rebuilt bit for bit: the plant's acceleration plus
+        # the seed-0 noise, and the table read at the speed before the step
+        v_before = np.r_[0.0, trace.v[:-1]]
+        noise = np.random.default_rng(0).normal(0.0, config.noise_std, len(trace))
+        acc_meas = (trace.v - v_before) / (1.0 / config.sample_rate) + noise
+        acc_pred = [lookup_acc(table, cmd, v) for cmd, v in zip(trace.cmd.tolist(), v_before.tolist())]
+        pre = preprocess.OnlinePreprocessor(config.sample_rate, config.delay)
+        frames = zip(trace.t.tolist(), trace.cmd.tolist(), trace.v.tolist(), acc_meas.tolist(), acc_pred,
+                     trace.v_des.tolist())
+        feedback = [fb for fb in (pre.push(*frame) for frame in frames) if fb is not None]
+        assert len(feedback) > 15000
+        admitted = marked_cells(table, [fb.cmd_ref for fb in feedback], [fb.v_ref for fb in feedback])
+        assert not (admitted & ~run.visited_cells).any()
 
     @pytest.mark.parametrize("online", [False, True])
     def test_run_shorter_than_the_delay_marks_no_cell(self, online):
-        # nothing matures: the first pairing is due after the 0.2 s delay and the filter's lag
+        # no feedback matures: the first pairing is due after the 0.2 s delay
+        # and the filter's lag.  So an online run marks no cell, while a
+        # static run marks the cells its 15 cycles read
         config = simulator.ax1(load=0.0)
         profile = simulator.trapezoid_profile(config.v_max, 5.0)
-        run = simulator.run_closed_loop(config, config.true_table(), profile, duration=0.15, online=online)
-        assert len(run.trace) == 15 and not run.visited_cells.any()
+        table = config.true_table()
+        run = simulator.run_closed_loop(config, table, profile, duration=0.15, online=online)
+        assert len(run.trace) == 15
+        read = marked_cells(table, run.trace.cmd, run.trace.v)
+        assert read.any() and np.array_equal(run.visited_cells, read & (not online))
 
     def test_updates_go_through_the_online_module(self, ax1_table, monkeypatch):
         # every published table is built by ``online.update_table`` and made
